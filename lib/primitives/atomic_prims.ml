@@ -158,3 +158,95 @@ module Emulated_faa : S with type 'a t = 'a Atomic.t = struct
       end
   end
 end
+
+(** Tallies of atomic accesses by kind, as {!Counting} reports them. *)
+type counts = { gets : int; sets : int; cas : int; faa : int }
+
+module type COUNTING = sig
+  include S
+
+  val counts : unit -> counts
+  (** The calling domain's tallies since its last {!reset} (or since
+      it first touched an atomic of this instance). *)
+
+  val reset : unit -> unit
+  (** Zero the calling domain's tallies. *)
+end
+
+(** [A] with every get/set/CAS/FAA tallied per domain, counter arrays
+    included; [make], [make_contended] and [cpu_relax] are not counted.
+    The algorithm functors instantiated over it run their shipped text,
+    so a test can pin the exact number of atomic accesses an operation
+    performs — the deterministic cost model that wall-clock benchmarks
+    cannot give.  The tallies live in a domain-local record (each
+    domain counts its own accesses, like [Gc.minor_words]); the lookup
+    makes every access slower, so this instance is for counting, never
+    for timing. *)
+module Counting (A : S) : COUNTING with type 'a t = 'a A.t = struct
+  type tally = { mutable g : int; mutable s : int; mutable c : int; mutable f : int }
+
+  let key = Domain.DLS.new_key (fun () -> { g = 0; s = 0; c = 0; f = 0 })
+  let tally () = Domain.DLS.get key
+
+  type 'a t = 'a A.t
+
+  let make = A.make
+  let make_contended = A.make_contended
+
+  let get r =
+    let t = tally () in
+    t.g <- t.g + 1;
+    A.get r
+
+  let set r v =
+    let t = tally () in
+    t.s <- t.s + 1;
+    A.set r v
+
+  let compare_and_set r old nw =
+    let t = tally () in
+    t.c <- t.c + 1;
+    A.compare_and_set r old nw
+
+  let fetch_and_add r n =
+    let t = tally () in
+    t.f <- t.f + 1;
+    A.fetch_and_add r n
+
+  let cpu_relax = A.cpu_relax
+
+  module Counters = struct
+    include A.Counters
+
+    let get c i =
+      let t = tally () in
+      t.g <- t.g + 1;
+      A.Counters.get c i
+
+    let set c i v =
+      let t = tally () in
+      t.s <- t.s + 1;
+      A.Counters.set c i v
+
+    let fetch_and_add c i n =
+      let t = tally () in
+      t.f <- t.f + 1;
+      A.Counters.fetch_and_add c i n
+
+    let compare_and_set c i old nw =
+      let t = tally () in
+      t.c <- t.c + 1;
+      A.Counters.compare_and_set c i old nw
+  end
+
+  let counts () =
+    let t = tally () in
+    { gets = t.g; sets = t.s; cas = t.c; faa = t.f }
+
+  let reset () =
+    let t = tally () in
+    t.g <- 0;
+    t.s <- 0;
+    t.c <- 0;
+    t.f <- 0
+end

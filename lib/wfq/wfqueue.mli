@@ -412,12 +412,6 @@ module Internal : sig
   (** Manipulate the handle's hazard pointer as the operation
       prologues/epilogues do. *)
 
-  val set_trace : (string -> unit) option -> unit
-  (** Install (or clear) a protocol trace hook: every key transition
-      (FAA ticket, reservation, claim, commit, poison, announce,
-      retire, recycle) reports a line.  Debugging/model-checking
-      only. *)
-
   val cell_debug : 'a cell -> 'a handle -> string
   (** One-line description of a cell's three fields; request fields
       are identified relative to the given handle.  Debugging only. *)

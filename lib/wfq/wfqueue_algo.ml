@@ -18,14 +18,16 @@
    disabled build keeps the bare hot path (verified by benchmarking
    wf-10 against wf-10-obs; see DESIGN.md, observability section).
    The path-tier counters (fast/slow/empty outcomes) predate the probe
-   and stay unconditional.  Protocol tracing rides a two-conjunct
-   gate: every [tracef (fun () -> ...)] site sits under
-   [if tracing ()] = [P.enabled && hook installed], so the disabled
-   build never constructs the trace thunk — a closure per operation,
-   the dominant fast-path allocation before the PR-6 audit — and the
-   probe-enabled builds (simsched, _obs, _inject) only construct it
-   while a hook is actually listening, keeping even the instrumented
-   hot path allocation-free (pinned by test/test_alloc.ml).
+   and stay unconditional.
+
+   Coherence discipline (DESIGN.md §3, cache-conscious layout): an
+   operation performs no atomic access whose result cannot change its
+   outcome.  The cleanup gate reads T and H only once [oldest] says
+   enough garbage may be due; [help_enq] loads a cell before trying
+   the poison CAS; head/tail pointers are stored only when
+   [find_cell] moved to another segment.  Each skipped access is one
+   fewer shared-line transfer or fenced write per operation, and none
+   of them is observable in the SC model the proofs assume.
 
    Injection discipline ([I] : Inject.S): every adversarial window is
    [if I.enabled then I.hit <point>] — same compile-time-constant
@@ -71,22 +73,6 @@ module Make (A : Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
      consistent), subsuming every fence the paper discusses. *)
 
 module Packed = Primitives.Packed_state
-
-(* Optional protocol tracing, for the model-checking harness: when a
-   hook is installed every key protocol transition reports itself.
-   Call sites are gated by [tracing ()] (see the header), so on a
-   disabled instantiation [set_trace] is accepted but never fires. *)
-let trace_hook : (string -> unit) option ref = ref None
-let set_trace f = trace_hook := f
-let tracef f = match !trace_hook with None -> () | Some out -> out (f ())
-
-(* The call-site gate for tracing: the compile-time probe constant AND
-   a hook actually installed.  The second conjunct matters for the
-   instrumented build — without it every site would still construct
-   its closure (and its captures) per operation even when nobody is
-   listening, and the enabled build would allocate on the hot path. *)
-let[@inline] tracing () =
-  P.enabled && (match !trace_hook with None -> false | Some _ -> true)
 
 (* The value plane's reserved words.  The paper's ⊥ and ⊤ become two
    private heap blocks: [Obj.repr] of a ref cell nobody else can ever
@@ -155,7 +141,6 @@ let settled_deq_request () = { deq_id = 0; deq_state = A.make Packed.initial }
    reads of a freshly initialized one. *)
 type 'a segment = {
   mutable seg_id : int;
-  uid : int; (* physical identity, stable across pool relabeling *)
   next : 'a segment option A.t;
   values : Obj.t A.t array;
   enqs : enq_link A.t array;
@@ -171,7 +156,6 @@ type 'a pool_node = { pooled : 'a segment; rest : 'a pool_node option }
 type 'a free_node = { freed : 'a handle; more : 'a free_node option }
 
 and 'a handle = {
-  hid : int; (* registration order, used only by tracing/debugging *)
   head : 'a segment A.t;
   tail : 'a segment A.t;
   (* Ring link; [None] means "points to itself" so a fresh handle is a
@@ -247,9 +231,6 @@ type 'a t = {
 (* ------------------------------------------------------------------ *)
 (* Construction (L.27-32)                                             *)
 
-let segment_uids = Primitives.Padding.make_padded_atomic 0
-let handle_uids = Primitives.Padding.make_padded_atomic 0
-
 (* Each plane is allocated in one sweep, so its boxes are laid out
    consecutively by the minor heap: walking cells in ticket order
    walks memory in address order.  The boxes themselves stay
@@ -260,7 +241,6 @@ let new_segment shift seg_id =
   let n = 1 lsl shift in
   {
     seg_id;
-    uid = Atomic.fetch_and_add segment_uids 1;
     next = A.make None;
     values = Array.init n (fun _ -> A.make bottom_w);
     enqs = Array.init n (fun _ -> A.make Enq_bottom);
@@ -303,7 +283,7 @@ let create ?(patience = 10) ?(segment_shift = 10) ?(max_garbage = 16) ?(reclamat
     oldest = A.make_contended 0;
     ring = A.make_contended None;
     null_segment =
-      { seg_id = max_int; uid = -1; next = A.make None; values = [||]; enqs = [||]; deqs = [||] };
+      { seg_id = max_int; next = A.make None; values = [||]; enqs = [||]; deqs = [||] };
     patience;
     max_garbage;
     seg_shift = segment_shift;
@@ -372,11 +352,20 @@ let pool_push q s =
     in
     link ()
 
+(* The segment is private here (unlinked and past every hazard
+   pointer), so nothing races the load before each store: a cell that
+   is still ⊥ is skipped, and the fenced write is paid only for cells
+   the protocol actually touched.  A segment that only ever saw fast
+   paths never had its enq plane written, so that whole plane costs
+   loads alone. *)
 let reset_segment s =
-  if tracing () then tracef (fun () -> Printf.sprintf "reset: uid=%d seg=%d" s.uid s.seg_id);
-  Array.iter (fun v -> A.set v bottom_w) s.values;
-  Array.iter (fun e -> A.set e Enq_bottom) s.enqs;
-  Array.iter (fun d -> A.set d Deq_bottom) s.deqs
+  Array.iter (fun v -> if A.get v != bottom_w then A.set v bottom_w) s.values;
+  Array.iter
+    (fun e -> match A.get e with Enq_bottom -> () | Enq_top | Enq_req _ -> A.set e Enq_bottom)
+    s.enqs;
+  Array.iter
+    (fun d -> match A.get d with Deq_bottom -> () | Deq_top | Deq_req _ -> A.set d Deq_bottom)
+    s.deqs
 
 (* ------------------------------------------------------------------ *)
 (* Handle ring                                                        *)
@@ -414,7 +403,6 @@ let next_live_handle h = next_live_from h (next_handle h)
    domain-termination hook. *)
 let retire q h =
   if Atomic.compare_and_set h.retired false true then begin
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d retire" h.hid);
     A.set h.hzdp q.null_segment;
     let rec push () =
       let top = A.get q.free_handles in
@@ -452,7 +440,6 @@ let rec acquire_cleanup_token q =
    is closed and immutable apart from its already-settled state, so
    nothing it does can reach the new owner's requests. *)
 let recycle_handle q h seg =
-  if tracing () then tracef (fun () -> Printf.sprintf "h%d recycle slot" h.hid);
   Op_stats.absorb ~into:q.departed_stats h.stats;
   A.set h.head seg;
   A.set h.tail seg;
@@ -481,7 +468,6 @@ let register q =
          sharing between handles that never logically interact. *)
       let rec h =
         {
-          hid = Atomic.fetch_and_add handle_uids 1;
           head = A.make_contended seg;
           tail = A.make_contended seg;
           ring_next = A.make None;
@@ -546,9 +532,15 @@ let update q (from_ : 'a segment A.t) (to_ : 'a segment ref) owner =
    tickets trail H, must still reach.  We cap [e] at
    segment(min(T,H)/N) to enforce the stated condition.
 
-   The threshold test runs on every dequeue; everything it needs is
-   read into locals first, and the scan's [ref]s are only built once
-   the CAS on the token has actually opened a cleanup.
+   The threshold test runs on every dequeue, so it is ordered by cost.
+   [oldest] (a line only cleaners write) is read first, and T and H
+   (the producers' and consumers' hottest lines) only once
+   [e0.seg_id - i] alone already reaches [max_garbage]: capping the
+   candidate at [bound] can only lower it, so the skipped reads could
+   never have opened the gate.  [bound] is computed once, inside the
+   test, and the body keeps using that value.  The scan's [ref]s are
+   only built once the CAS on the token has actually opened a
+   cleanup.
 
    [e0] is the initial reclaim candidate.  The dequeue-path entry
    ([cleanup]) uses the paper's choice, the cleaner's own cached head
@@ -560,7 +552,13 @@ let update q (from_ : 'a segment A.t) (to_ : 'a segment ref) owner =
    index-distance garbage behind it (the PR 9 pool-storm wedge). *)
 let cleanup_candidate q h e0 =
   let i = A.get q.oldest in
-  let bound = min (A.get q.tail_index) (A.get q.head_index) lsr q.seg_shift in
+  (* -1 when the uncapped candidate is already short: the gate below
+     then fails without T or H having been read *)
+  let bound =
+    if i >= 0 && e0.seg_id - i >= q.max_garbage then
+      min (A.get q.tail_index) (A.get q.head_index) lsr q.seg_shift
+    else -1
+  in
   if i >= 0 && min e0.seg_id bound - i >= q.max_garbage && A.compare_and_set q.oldest i (-1)
   then begin
     let e = ref e0 in
@@ -643,10 +641,6 @@ let cleanup_candidate q h e0 =
          is safe in the original.  Collect first — pushing to the
          pool reuses the next fields the walk follows. *)
       let first = A.get q.q in
-      if tracing () then
-        tracef (fun () ->
-            Printf.sprintf "h%d cleanup: retiring segs [%d,%d) (uids %d..)" h.hid first.seg_id
-              (!e).seg_id first.uid);
       A.set q.q !e;
       release_token (!e).seg_id;
       ignore (A.fetch_and_add q.reclaimed ((!e).seg_id - i));
@@ -737,18 +731,12 @@ let cleanup q h = cleanup_candidate q h (A.get h.head)
 let rec obtain_segment q h advance chain_end seg_id =
   match pool_pop q with
   | Some s ->
-    if tracing () then
-      tracef (fun () ->
-          Printf.sprintf "obtain: recycle uid=%d as seg=%d (was %d)" s.uid seg_id s.seg_id);
     s.seg_id <- seg_id;
     s
   | None ->
     if A.fetch_and_add q.seg_budget (-1) > 0 then begin
       ignore (A.fetch_and_add q.allocated 1);
-      let s = new_segment q.seg_shift seg_id in
-      if tracing () then
-        tracef (fun () -> Printf.sprintf "obtain: fresh uid=%d seg=%d" s.uid seg_id);
-      s
+      new_segment q.seg_shift seg_id
     end
     else begin
       ignore (A.fetch_and_add q.seg_budget 1);
@@ -786,10 +774,6 @@ let rec find_cell_walk q h who advance cell_id target s =
     match A.get s.next with
     | Some next -> find_cell_walk q h who advance cell_id target next
     | None ->
-      if tracing () then
-        tracef (fun () ->
-            Printf.sprintf "find_cell[%s]: extend from seg %d toward %d (cell %d)" who s.seg_id
-              target cell_id);
       let fresh = obtain_segment q h advance s (s.seg_id + 1) in
       if A.compare_and_set s.next None (Some fresh) then
         find_cell_walk q h who advance cell_id target fresh
@@ -879,20 +863,12 @@ let enq_fast (q : 'a t) (h : 'a handle) (v : 'a) =
   (* ticket [i] is consumed but nothing is deposited yet: a stall here
      forces dequeuers to poison the cell; a death abandons it *)
   if I.enabled then I.hit Inject.Enq_fast_after_faa;
-  if tracing () then
-    tracef (fun () ->
-        let t = A.get h.tail in
-        Printf.sprintf "h%d enq_fast: ticket %d, tail seg=%d uid=%d hzdp seg=%d" h.hid i t.seg_id
-          t.uid (A.get h.hzdp).seg_id);
-  let s = find_cell ~who:"enq_fast" ~advance:true q h (A.get h.tail) i in
-  A.set h.tail s;
-  if A.compare_and_set s.values.(i land q.seg_mask) bottom_w (Obj.repr v) then begin
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d enq_fast: deposit at %d" h.hid i);
-    -1
-  end
+  let t = A.get h.tail in
+  let s = find_cell ~who:"enq_fast" ~advance:true q h t i in
+  if s != t then A.set h.tail s;
+  if A.compare_and_set s.values.(i land q.seg_mask) bottom_w (Obj.repr v) then -1
   else begin
     if P.enabled then h.stats.enq_cas_failures <- h.stats.enq_cas_failures + 1;
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d enq_fast: cell %d unusable" h.hid i);
     i
   end
 
@@ -905,18 +881,9 @@ let rec enq_slow_acquire q h r cell_id tmp_tail =
   let s = find_cell ~who:"enq_slow_acq" q h tmp_tail i in
   let j = i land q.seg_mask in
   (* L.79-84, Dijkstra's protocol with the helpers *)
-  if
-    (let won = A.compare_and_set s.enqs.(j) Enq_bottom (Enq_req r) in
-     if tracing () then
-       tracef (fun () -> Printf.sprintf "h%d enq_slow: reserve cell %d -> %b" h.hid i won);
-     won)
-    && A.get s.values.(j) == bottom_w
-  then begin
-    let claimed = try_to_claim_req r.enq_state ~id:cell_id ~cell_id:i in
-    if tracing () then
-      tracef (fun () -> Printf.sprintf "h%d enq_slow: self-claim at %d -> %b" h.hid i claimed)
+  if A.compare_and_set s.enqs.(j) Enq_bottom (Enq_req r) && A.get s.values.(j) == bottom_w then
+    ignore (try_to_claim_req r.enq_state ~id:cell_id ~cell_id:i : bool)
     (* invariant: request claimed (even if the claim CAS failed) *)
-  end
   else if Packed.pending (A.get r.enq_state) then begin
     (* ticket [i] was consumed but the transfer did not complete
        there: the cell is abandoned to the dequeuers' help_enq *)
@@ -931,7 +898,6 @@ let enq_slow (q : 'a t) (h : 'a handle) (v : 'a) cell_id =
      reachable, so helpers never observe a half-published request.
      The allocation is confined to the slow path (patience already
      exhausted); the fast path stays allocation-free. *)
-  if tracing () then tracef (fun () -> Printf.sprintf "h%d enq_slow: publish id=%d" h.hid cell_id);
   let r =
     { enq_value = Obj.repr v; enq_state = A.make (Packed.make ~pending:true ~id:cell_id) }
   in
@@ -942,8 +908,6 @@ let enq_slow (q : 'a t) (h : 'a handle) (v : 'a) cell_id =
   enq_slow_acquire q h r cell_id (A.get h.tail);
   (* L.86-88: the request is claimed for some cell; find it, commit. *)
   let id = Packed.id (A.get r.enq_state) in
-  if tracing () then
-    tracef (fun () -> Printf.sprintf "h%d enq_slow: committing claimed cell %d" h.hid id);
   if id < cell_id then
     failwith
       (Printf.sprintf "enq_slow: claimed cell %d below request id %d (stale claim)" id cell_id);
@@ -957,8 +921,9 @@ let enq_slow (q : 'a t) (h : 'a handle) (v : 'a) cell_id =
      enqueue never returned), a stall forces the claimed cell's
      dequeuer onto its own slow path *)
   if I.enabled then I.hit Inject.Enq_slow_pre_commit;
-  let s = find_cell ~who:"enq_slow_commit" q h (A.get h.tail) id in
-  A.set h.tail s;
+  let t = A.get h.tail in
+  let s = find_cell ~who:"enq_slow_commit" q h t id in
+  if s != t then A.set h.tail s;
   enq_commit q s.values.(id land q.seg_mask) (Obj.repr v) id
 
 (* L.56-59: the patience loop, as a top-level recursion over the
@@ -1008,10 +973,18 @@ let help_enq q h (s : 'a segment) i =
   let j = i land q.seg_mask in
   let cv = s.values.(j) in
   let ce = s.enqs.(j) in
-  let poisoned = A.compare_and_set cv bottom_w top_w in
-  if tracing () && poisoned then
-    tracef (fun () -> Printf.sprintf "h%d help_enq: poison cell %d" h.hid i);
-  let w0 = if poisoned then top_w else A.get cv in
+  (* Load before the poison CAS: a cell reachable here never returns
+     to ⊥ (only [reset_segment] writes ⊥, on private segments), so a
+     non-⊥ load means the CAS would have failed, and the loaded word
+     is the one the failed CAS's re-read would have returned.  A load
+     shares the line with the depositing producer instead of taking it
+     exclusively. *)
+  let w = A.get cv in
+  let w0 =
+    if w != bottom_w then w
+    else if A.compare_and_set cv bottom_w top_w then top_w
+    else A.get cv
+  in
   if is_value w0 then w0 (* L.91: the cell already holds a value *)
   else begin
     (* c.value is ⊤: try to complete a slow-path enqueue here. *)
@@ -1025,13 +998,7 @@ let help_enq q h (s : 'a segment) i =
       if
         Packed.pending st
         && Packed.id st <= i
-        && not
-             (let won = A.compare_and_set ce Enq_bottom (Enq_req r) in
-              if tracing () && won then
-                tracef (fun () ->
-                    Printf.sprintf "h%d help_enq: reserved cell %d for peer h%d (req id %d)"
-                      h.hid i p.hid (Packed.id st));
-              won)
+        && not (A.compare_and_set ce Enq_bottom (Enq_req r))
       then h.enq_help_id <- Packed.id st
       else h.enq_peer <- next_live_handle p;
       (* L.109-111: close the cell to enqueue helpers if unused *)
@@ -1071,9 +1038,6 @@ let help_enq q h (s : 'a segment) i =
         let claimed_by_us = try_to_claim_req r.enq_state ~id:(Packed.id st) ~cell_id:i in
         if P.enabled && claimed_by_us && r != A.get h.enq_req then
           h.stats.help_enqueues <- h.stats.help_enqueues + 1;
-        if tracing () && claimed_by_us then
-          tracef (fun () ->
-              Printf.sprintf "h%d help_enq: claimed req (id %d) for cell %d" h.hid (Packed.id st) i);
         let claimed_for_cell =
           claimed_by_us
           || Packed.equal (A.get r.enq_state) (Packed.make ~pending:false ~id:i)
@@ -1081,8 +1045,6 @@ let help_enq q h (s : 'a segment) i =
         in
         if claimed_for_cell then begin
           assert (v != bottom_w) (* a claimed request had its value published *);
-          if tracing () then
-            tracef (fun () -> Printf.sprintf "h%d help_enq: commit value at cell %d" h.hid i);
           enq_commit q cv v i
         end;
         value_or_top cv (* L.127 *)
@@ -1139,14 +1101,10 @@ let help_deq q h helpee =
       done;
       if !cand <> 0 then begin
         (* L.181-185: try to announce our candidate *)
-        let announced =
-          A.compare_and_set r.deq_state
-            (Packed.make ~pending:true ~id:!prior)
-            (Packed.make ~pending:true ~id:!cand)
-        in
-        if tracing () && announced then
-          tracef (fun () ->
-              Printf.sprintf "h%d help_deq(h%d): announce cell %d" h.hid helpee.hid !cand);
+        ignore
+          (A.compare_and_set r.deq_state
+             (Packed.make ~pending:true ~id:!prior)
+             (Packed.make ~pending:true ~id:!cand));
         s := A.get r.deq_state
       end;
       (* L.187-188: someone completed the request.  (The paper also
@@ -1169,13 +1127,8 @@ let help_deq q h helpee =
           (* about to close the helpee's request: a stalled/dying
              helper must not block other helpers from closing it *)
           if I.enabled then I.hit Inject.Help_deq_pre_close;
-          let closed =
-            A.compare_and_set r.deq_state !s (Packed.make ~pending:false ~id:(Packed.id !s))
-          in
-          if tracing () && closed then
-            tracef (fun () ->
-                Printf.sprintf "h%d help_deq(h%d): closed at cell %d" h.hid helpee.hid
-                  (Packed.id !s));
+          ignore
+            (A.compare_and_set r.deq_state !s (Packed.make ~pending:false ~id:(Packed.id !s)));
           finished := true
         end
         else begin
@@ -1192,7 +1145,6 @@ let help_deq q h helpee =
 
 (* L.149-157: returns the value word or [empty_w]. *)
 let deq_slow q h cell_id =
-  if tracing () then tracef (fun () -> Printf.sprintf "h%d deq_slow: publish id=%d" h.hid cell_id);
   (* fresh single-use request; see [deq_request]'s comment *)
   let r = { deq_id = cell_id; deq_state = A.make (Packed.make ~pending:true ~id:cell_id) } in
   A.set h.deq_req r;
@@ -1201,8 +1153,9 @@ let deq_slow q h cell_id =
   if I.enabled then I.hit Inject.Deq_slow_published;
   help_deq q h h;
   let i = Packed.id (A.get r.deq_state) in
-  let s = find_cell ~who:"deq_slow_res" q h (A.get h.head) i in
-  A.set h.head s;
+  let hd = A.get h.head in
+  let s = find_cell ~who:"deq_slow_res" q h hd i in
+  if s != hd then A.set h.head s;
   let w = A.get s.values.(i land q.seg_mask) in
   advance_end_for_linearizability q.head_index (i + 1);
   assert (w != bottom_w) (* the request completed at this cell *);
@@ -1235,11 +1188,11 @@ let rec deq_attempt q h p =
      can strand the value at cell [i] (linearized as dequeue-then-
      crash), which is exactly what a crashed consumer does *)
   if I.enabled then I.hit Inject.Deq_fast_after_faa;
-  let s = find_cell ~who:"deq_fast" ~advance:true q h (A.get h.head) i in
-  A.set h.head s;
+  let hd = A.get h.head in
+  let s = find_cell ~who:"deq_fast" ~advance:true q h hd i in
+  if s != hd then A.set h.head s;
   let w = help_enq q h s i in
   if w == empty_w then begin
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d deq_fast: cell %d EMPTY" h.hid i);
     h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
     h.stats.empty_dequeues <- h.stats.empty_dequeues + 1;
     empty_w
@@ -1247,13 +1200,10 @@ let rec deq_attempt q h p =
   else if
     w != top_w && A.compare_and_set s.deqs.(i land q.seg_mask) Deq_bottom Deq_top
   then begin
-    if tracing () then
-      tracef (fun () -> Printf.sprintf "h%d deq_fast: took value at cell %d" h.hid i);
     h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
     w
   end
   else begin
-    if tracing () then tracef (fun () -> Printf.sprintf "h%d deq_fast: failed at cell %d" h.hid i);
     if P.enabled then h.stats.deq_cas_failures <- h.stats.deq_cas_failures + 1;
     if p > 0 then deq_attempt q h (p - 1)
     else begin
@@ -1366,12 +1316,23 @@ let dequeue_or (q : 'a t) (h : 'a handle) (default : 'a) : 'a =
    hold cell by cell exactly as for k = 1.  The hazard pointer
    published before the FAA covers every reserved cell: cell ids only
    grow past the protected segment, and cleanup never reclaims at or
-   beyond a live hazard pointer. *)
+   beyond a live hazard pointer.  The cell loops walk from a local
+   cursor (the segment [protect_pointer] validated, then the last
+   cell's) and store the handle's head/tail only when [find_cell]
+   crosses into another segment: once per segment, not once per
+   cell.  The loops keep the handle's pointer equal to the cursor:
+   a per-cell slow fallback stores the segment of the cell its
+   request completed at, which can lie past the cells the batch has
+   still to visit, so the loop stores the cursor back after it.
+   Without that, the next fallback's [help_deq] would publish that
+   later segment as the hazard pointer and leave the batch's own
+   cells unprotected (found by the model checker: a kill storm over
+   batches hit [find_cell] on a reclaimed segment). *)
 
 let enq_batch_unchecked (q : 'a t) (h : 'a handle) (vs : 'a array) =
   let k = Array.length vs in
   if k > 0 then begin
-    ignore (protect_pointer h h.tail);
+    let cur = ref (protect_pointer h h.tail) in
     let first = A.fetch_and_add q.tail_index k in
     (* k tail tickets are consumed and none of the values deposited:
        the widest abandoned window the algorithm can create.  Dying
@@ -1384,8 +1345,11 @@ let enq_batch_unchecked (q : 'a t) (h : 'a handle) (vs : 'a array) =
     end;
     for j = 0 to k - 1 do
       let i = first + j in
-      let s = find_cell ~who:"enq_batch" ~advance:true q h (A.get h.tail) i in
-      A.set h.tail s;
+      let s = find_cell ~who:"enq_batch" ~advance:true q h !cur i in
+      if s != !cur then begin
+        A.set h.tail s;
+        cur := s
+      end;
       if A.compare_and_set s.values.(i land q.seg_mask) bottom_w (Obj.repr vs.(j)) then
         h.stats.fast_enqueues <- h.stats.fast_enqueues + 1
       else begin
@@ -1397,6 +1361,9 @@ let enq_batch_unchecked (q : 'a t) (h : 'a handle) (vs : 'a array) =
           h.stats.enq_batch_fallbacks <- h.stats.enq_batch_fallbacks + 1
         end;
         enq_slow q h vs.(j) i;
+        (* the commit stored the claimed cell's segment: put the
+           cursor back (see the section comment) *)
+        A.set h.tail !cur;
         h.stats.slow_enqueues <- h.stats.slow_enqueues + 1
       end
     done;
@@ -1422,7 +1389,7 @@ let deq_batch (q : 'a t) (h : 'a handle) k : 'a option array =
     Array.make k None
   end
   else begin
-    ignore (protect_pointer h h.head);
+    let cur = ref (protect_pointer h h.head) in
     let first = A.fetch_and_add q.head_index k in
     (* k head tickets consumed, no cell helped or claimed yet: dying
        here can strand up to k values (dequeue-then-crash, k times) *)
@@ -1435,8 +1402,11 @@ let deq_batch (q : 'a t) (h : 'a handle) k : 'a option array =
     let got = ref false in
     for j = 0 to k - 1 do
       let i = first + j in
-      let s = find_cell ~who:"deq_batch" ~advance:true q h (A.get h.head) i in
-      A.set h.head s;
+      let s = find_cell ~who:"deq_batch" ~advance:true q h !cur i in
+      if s != !cur then begin
+        A.set h.head s;
+        cur := s
+      end;
       let w = help_enq q h s i in
       if w == empty_w then begin
         h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
@@ -1455,6 +1425,7 @@ let deq_batch (q : 'a t) (h : 'a handle) k : 'a option array =
           h.stats.deq_batch_fallbacks <- h.stats.deq_batch_fallbacks + 1
         end;
         let w = deq_slow q h i in
+        A.set h.head !cur;
         h.stats.slow_dequeues <- h.stats.slow_dequeues + 1;
         if w == empty_w then h.stats.empty_dequeues <- h.stats.empty_dequeues + 1
         else begin
@@ -1476,23 +1447,23 @@ let deq_batch (q : 'a t) (h : 'a handle) k : 'a option array =
    [let rec] would box a closure per call, against the PR 6 zero-
    allocation discipline).  Values are compacted to the front of
    [out]; returns how many were written. *)
-let rec deq_batch_into_loop q h (out : 'a array) k first j n =
+let rec deq_batch_into_loop q h (out : 'a array) k first cur j n =
   if j = k then n
   else begin
     let i = first + j in
-    let s = find_cell ~who:"deq_batch_into" ~advance:true q h (A.get h.head) i in
-    A.set h.head s;
+    let s = find_cell ~who:"deq_batch_into" ~advance:true q h cur i in
+    if s != cur then A.set h.head s;
     let w = help_enq q h s i in
     if w == empty_w then begin
       h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
       h.stats.empty_dequeues <- h.stats.empty_dequeues + 1;
-      deq_batch_into_loop q h out k first (j + 1) n
+      deq_batch_into_loop q h out k first s (j + 1) n
     end
     else if w != top_w && A.compare_and_set s.deqs.(i land q.seg_mask) Deq_bottom Deq_top
     then begin
       h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
       out.(n) <- Obj.obj w;
-      deq_batch_into_loop q h out k first (j + 1) (n + 1)
+      deq_batch_into_loop q h out k first s (j + 1) (n + 1)
     end
     else begin
       if P.enabled then begin
@@ -1500,14 +1471,15 @@ let rec deq_batch_into_loop q h (out : 'a array) k first j n =
         h.stats.deq_batch_fallbacks <- h.stats.deq_batch_fallbacks + 1
       end;
       let w = deq_slow q h i in
+      A.set h.head s;
       h.stats.slow_dequeues <- h.stats.slow_dequeues + 1;
       if w == empty_w then begin
         h.stats.empty_dequeues <- h.stats.empty_dequeues + 1;
-        deq_batch_into_loop q h out k first (j + 1) n
+        deq_batch_into_loop q h out k first s (j + 1) n
       end
       else begin
         out.(n) <- Obj.obj w;
-        deq_batch_into_loop q h out k first (j + 1) (n + 1)
+        deq_batch_into_loop q h out k first s (j + 1) (n + 1)
       end
     end
   end
@@ -1525,14 +1497,14 @@ let deq_batch_into (q : 'a t) (h : 'a handle) (out : 'a array) ~(default : 'a) :
     0
   end
   else begin
-    ignore (protect_pointer h h.head);
+    let cur = protect_pointer h h.head in
     let first = A.fetch_and_add q.head_index k in
     if I.enabled then I.hit Inject.Deq_batch_after_faa;
     if P.enabled then begin
       h.stats.deq_batches <- h.stats.deq_batches + 1;
       h.stats.deq_batch_cells <- h.stats.deq_batch_cells + k
     end;
-    let n = deq_batch_into_loop q h out k first 0 0 in
+    let n = deq_batch_into_loop q h out k first cur 0 0 in
     if n > 0 then begin
       help_deq q h h.deq_peer;
       h.deq_peer <- next_live_handle h.deq_peer
@@ -1790,8 +1762,6 @@ module Internal = struct
         if n != first then go n (idx + 1)
       in
       go first 0
-
-  let set_trace = set_trace
 
   (* Whitebox access to the segment pool, for the size-accounting
      invariant tests: the counter must never exceed [pool_limit] and
