@@ -30,18 +30,18 @@ let run_fan_out ~workers ~roots ~subtasks =
   Sched.Scheduler.shutdown s;
   (roots * (1 + subtasks), elapsed_s)
 
-(* The flat control: the same task count submitted externally through
-   [Pool.submit], so every task crosses the shared injector and no
-   fan-out structure feeds the deques.  The gap between this row and
-   the fan-out row is the price of routing everything through the
-   global queue. *)
+(* The flat control: the same task count submitted from outside the
+   scheduler, so every task crosses the shared injector and no fan-out
+   structure feeds the deques.  The gap between this row and the
+   fan-out row is the price of routing everything through the global
+   queue. *)
 let run_pool_flat ~workers ~tasks =
-  let p = Pool.create ~workers () in
+  let s = Sched.Scheduler.create ~workers () in
   let t0 = Primitives.Clock.now () in
-  let futs = List.init tasks (fun i -> Pool.submit p (fun () -> i)) in
-  List.iter (fun f -> ignore (Pool.await f)) futs;
+  let proms = List.init tasks (fun i -> Sched.Scheduler.async s (fun () -> i)) in
+  List.iter (fun p -> ignore (Sched.Scheduler.Promise.result p)) proms;
   let elapsed_s = Primitives.Clock.now () -. t0 in
-  Pool.shutdown p;
+  Sched.Scheduler.shutdown s;
   (tasks, elapsed_s)
 
 let best ?(reps = 3) f =

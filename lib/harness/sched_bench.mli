@@ -1,7 +1,7 @@
 (** Task-scheduler throughput rows: fan-out/fan-in through the
     effects-based scheduler (workers spawning onto their own
     work-stealing deques) against the flat control where the same task
-    count is submitted externally through [Pool.submit] and every task
+    count is submitted from outside the scheduler and every task
     crosses the shared wait-free injector.  Both run the production
     build — probes and fault injection compiled out — so the rows also
     serve as the bench-gate's evidence that the functorized tiers
@@ -20,7 +20,9 @@ val run_fan_out : workers:int -> roots:int -> subtasks:int -> int * float
     await them all; returns (total tasks, elapsed seconds). *)
 
 val run_pool_flat : workers:int -> tasks:int -> int * float
-(** One timed run of the flat control through [Pool.submit]. *)
+(** One timed run of the flat control: [tasks] external
+    [Sched.Scheduler.async] calls, each awaited with
+    [Promise.result]. *)
 
 val default_rows : ?quick:bool -> unit -> row list
 (** The EXPERIMENTS.md table: fan-out vs flat at 2 and 4 workers

@@ -591,6 +591,109 @@ let test_wf_obs_in_registry () =
   check Alcotest.bool "wf-10-obs registered" true
     (Harness.Queues.find "wf-10-obs" <> None)
 
+(* ------------------------------------------------------------------ *)
+(* Storm engine: every audit must be able to fail                     *)
+
+module Storm = Harness.Storm
+
+let violations =
+  Alcotest.testable
+    (Fmt.of_to_string (fun vs -> String.concat "; " (List.map Storm.violation_to_string vs)))
+    ( = )
+
+let test_storm_audits_reject_planted () =
+  let conserved ?optional ?(allowance = 0) seen =
+    Storm.conserved ?optional ~allowance ~definite:[ 1; 2; 3 ] seen
+  in
+  check violations "clean ledger" [] (conserved [ 3; 1; 2 ]);
+  check violations "duplicate, reported once" [ Storm.Duplicate 2 ] (conserved [ 1; 2; 2; 2; 3 ]);
+  check violations "alien" [ Storm.Alien 9 ] (conserved [ 1; 9; 2; 3 ]);
+  check violations "optional in-flight value is legitimate" []
+    (conserved ~optional:[ 9 ] [ 1; 9; 2; 3 ]);
+  check violations "missing past the allowance"
+    [ Storm.Missing { missing = 2; allowance = 1 } ]
+    (conserved ~allowance:1 [ 1 ]);
+  check violations "missing within the allowance" [] (conserved ~allowance:2 [ 1 ]);
+  check violations "cap exceeded"
+    [ Storm.Cap_exceeded { what = "segments"; value = 9; cap = 8 } ]
+    (Storm.cap_within ~what:"segments" ~cap:8 9);
+  check violations "cap held" [] (Storm.cap_within ~what:"segments" ~cap:8 8);
+  let want i = 10 * i in
+  check violations "promises settled" []
+    (Storm.promises ~want ~errors_ok:false [| Some (Ok 0); Some (Ok 10) |]);
+  check violations "stranded promise" [ Storm.Stranded 1 ]
+    (Storm.promises ~want ~errors_ok:true [| Some (Ok 0); None |]);
+  check violations "wrong fan-in sum"
+    [ Storm.Wrong_sum { index = 1; got = 11; want = 10 } ]
+    (Storm.promises ~want ~errors_ok:true [| Some (Ok 0); Some (Ok 11) |]);
+  check violations "error without a kill" [ Storm.Errored 0 ]
+    (Storm.promises ~want ~errors_ok:false [| Some (Error Exit) |]);
+  check violations "error under kills" []
+    (Storm.promises ~want ~errors_ok:true [| Some (Error Exit) |])
+
+let test_storm_ledger_audit () =
+  (* ops = 10: domain d's i-th value is 10d + i; 2 comes back in the drain *)
+  let dom index outcome enqueued got =
+    { Storm.index; victim = false; outcome; ledger = { Storm.enqueued; got } }
+  in
+  let killed = Storm.Killed Inject.Deq_fast_after_faa in
+  let audit ?(allowance = 0) ds = Storm.audit ~ops:10 ~in_flight:1 ~allowance ~drained:[ 2 ] ds in
+  check violations "clean run, killed domain's in-flight value landed" []
+    (audit [| dom 0 Storm.Completed 3 [ 0; 1 ]; dom 1 killed 1 [ 10; 11 ] |]);
+  check violations "value past a completed domain's ledger is alien" [ Storm.Alien 3 ]
+    (audit [| dom 0 Storm.Completed 3 [ 0; 1; 3 ]; dom 1 killed 0 [] |]);
+  check violations "a kill strands within its allowance" []
+    (audit ~allowance:1 [| dom 0 Storm.Completed 3 [ 0; 1 ]; dom 1 killed 1 [] |]);
+  check violations "a crash that is not an injected kill"
+    [ Storm.Domain_failed { index = 0; exn = "Not_found" } ]
+    (audit [| dom 0 (Storm.Crashed Not_found) 3 [ 0; 1 ] |])
+
+let test_storm_run_gates_victims () =
+  (* a lethal plan armed on the first hit of one point: exactly the
+     victim dies there, the survivor completes, and nothing stays
+     armed afterwards *)
+  let plan =
+    Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Enq_fast_after_faa ] ~seed:1L ()
+  in
+  let ds =
+    Storm.run ~plan ~victims:1 2 (fun _ _ ->
+        for _ = 1 to 4 do
+          Inject.Enabled.hit Inject.Enq_fast_after_faa
+        done)
+  in
+  check Alcotest.bool "victim killed at the armed point" true
+    (ds.(0).Storm.outcome = Storm.Killed Inject.Enq_fast_after_faa);
+  check Alcotest.bool "survivor completed" true (ds.(1).Storm.outcome = Storm.Completed);
+  check Alcotest.int "one kill" 1 (Inject.total_stats ()).Inject.kills;
+  Inject.reset_stats ();
+  Inject.Enabled.hit Inject.Enq_fast_after_faa;
+  check Alcotest.int "disarmed on exit" 0 (Inject.total_stats ()).Inject.hits;
+  check violations "a raising body is a failed domain"
+    [ Storm.Domain_failed { index = 0; exn = Printexc.to_string (Failure "boom") } ]
+    (Storm.audit ~ops:1 ~in_flight:0 ~allowance:0 ~drained:[]
+       (Storm.run ~victims:0 1 (fun _ _ -> failwith "boom")))
+
+let test_storm_report_verdict () =
+  let render vs =
+    let buf = Buffer.create 256 in
+    let ppf = Format.formatter_of_buffer buf in
+    let code = Storm.report ~ppf ~seed:77 ~faults:false ~ok:"fine" vs in
+    Format.pp_print_flush ppf ();
+    (code, Buffer.contents buf)
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  let code, out = render [] in
+  check Alcotest.int "clean exits 0" 0 code;
+  check Alcotest.bool "OK line" true (contains out "OK: fine");
+  let code, out = render [ Storm.Duplicate 5 ] in
+  check Alcotest.int "violation exits 1" 1 code;
+  check Alcotest.bool "violation printed" true (contains out "VIOLATION: value 5 dequeued twice");
+  check Alcotest.bool "replay line" true (contains out "replay with --seed 77")
+
 let () =
   Alcotest.run "harness"
     [
@@ -672,5 +775,13 @@ let () =
           Alcotest.test_case "stats table shape" `Quick test_telemetry_stats_table_shape;
           Alcotest.test_case "json feeds gate" `Quick test_telemetry_json_feeds_gate;
           Alcotest.test_case "wf-obs registered" `Quick test_wf_obs_in_registry;
+        ] );
+      ( "storm",
+        [
+          Alcotest.test_case "audits reject planted violations" `Quick
+            test_storm_audits_reject_planted;
+          Alcotest.test_case "ledger audit of a run" `Quick test_storm_ledger_audit;
+          Alcotest.test_case "run gates victims and disarms" `Quick test_storm_run_gates_victims;
+          Alcotest.test_case "report verdict and replay line" `Quick test_storm_report_verdict;
         ] );
     ]

@@ -23,6 +23,7 @@
 
 module Q = Simsched.Sim.Queue
 module Sim = Simsched.Sim
+module Storm = Harness.Storm
 
 let check = Alcotest.check
 
@@ -32,10 +33,21 @@ let run_ok ?max_steps ~seed fibers =
     Alcotest.failf "seed %d: scheduler step limit hit (livelock under faults?)" seed;
   stats
 
-(* Park as scheduler yields: a parked fiber is descheduled, letting
-   the scheduler run everyone else through the victim's stall
-   window. *)
-let sim_park () = Inject.set_park (fun n -> for _ = 1 to n do Sim.yield () done)
+(* Arm [plan] on the fibers [victim] admits.  A park is scheduler
+   yields: the parked fiber is descheduled, letting the scheduler run
+   everyone else through the victim's stall window. *)
+let armed plan victim f =
+  Storm.armed
+    ~park:(fun n -> for _ = 1 to n do Sim.yield () done)
+    ~plan
+    (Storm.Only (fun () -> victim (Sim.current_fiber ())))
+    f
+
+let expect_clean ?(what = "seed") seed = function
+  | [] -> ()
+  | v :: _ -> Alcotest.failf "%s %d: %s" what seed (Storm.violation_to_string v)
+
+let parks_at points = List.fold_left (fun acc p -> acc + (Inject.stats p).Inject.parks) 0 points
 
 let drain q h =
   let rec go acc = match Q.dequeue q h with Some v -> go (v :: acc) | None -> acc in
@@ -94,17 +106,14 @@ let aggressive_queue () =
   Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 ()
 
 let test_park_storm cls () =
-  sim_park ();
-  Inject.reset_stats ();
   let points = Inject.points_of_class cls in
+  let fired = ref 0 in
   for seed = 1 to 150 do
     let plan =
       Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int (seed * 7919)) ()
     in
     (* 2 victims of 4: only fibers 0 and 1 take faults *)
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f <= 1) (fun () ->
         let q = aggressive_queue () in
         let h = Array.init 4 (fun _ -> Q.register q) in
         let got = ref [] in
@@ -119,23 +128,17 @@ let test_park_storm cls () =
           done
         in
         ignore (run_ok ~seed [| actor 0; actor 1; actor 2; actor 3 |]);
-        let rest = drain q h.(0) in
         let expect =
           List.concat_map (fun i -> List.init 4 (fun k -> (i * 10) + k + 1)) [ 0; 1; 2; 3 ]
         in
-        check
-          Alcotest.(list int)
-          (Printf.sprintf "%s seed %d: parked storm conserves values" (Inject.class_name cls) seed)
-          (List.sort compare expect)
-          (List.sort compare (!got @ rest)))
+        expect_clean ~what:(Inject.class_name cls ^ " seed") seed
+          (Storm.conserved ~allowance:0 ~definite:expect (!got @ drain q h.(0))));
+    fired := !fired + parks_at points
   done;
   (* The sweep must actually have exercised the class — a class whose
      points never fire would make this suite vacuous (e.g. after a
      refactor moves an injection site). *)
-  let fired =
-    List.fold_left (fun acc p -> acc + (Inject.stats p).Inject.parks) 0 points
-  in
-  if fired = 0 then
+  if !fired = 0 then
     Alcotest.failf "no %s park ever fired across the sweep: dead injection points?"
       (Inject.class_name cls)
 
@@ -147,16 +150,13 @@ let test_park_storm cls () =
    per-cell fallback gives every survivor touching a reserved cell a
    wait-free way past it. *)
 let test_batch_park_storm () =
-  sim_park ();
-  Inject.reset_stats ();
   let points = Inject.points_of_class Inject.Batch in
+  let fired = ref 0 in
   for seed = 1 to 150 do
     let plan =
       Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int (seed * 7919)) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f <= 1) (fun () ->
         let q = aggressive_queue () in
         let h = Array.init 4 (fun _ -> Q.register q) in
         let got = ref [] in
@@ -169,23 +169,17 @@ let test_batch_park_storm () =
           done
         in
         ignore (run_ok ~seed [| actor 0; actor 1; actor 2; actor 3 |]);
-        let rest = drain q h.(0) in
         let expect =
           List.concat_map
             (fun i ->
               List.concat_map (fun r -> List.init 3 (fun j -> (i * 100) + (r * 10) + j)) [ 0; 1 ])
             [ 0; 1; 2; 3 ]
         in
-        check
-          Alcotest.(list int)
-          (Printf.sprintf "batch seed %d: parked batch storm conserves values" seed)
-          (List.sort compare expect)
-          (List.sort compare (!got @ rest)))
+        expect_clean ~what:"batch seed" seed
+          (Storm.conserved ~allowance:0 ~definite:expect (!got @ drain q h.(0))));
+    fired := !fired + parks_at points
   done;
-  let fired =
-    List.fold_left (fun acc p -> acc + (Inject.stats p).Inject.parks) 0 points
-  in
-  if fired = 0 then
+  if !fired = 0 then
     Alcotest.fail "no batch park ever fired across the sweep: dead injection points?"
 
 (* ------------------------------------------------------------------ *)
@@ -193,14 +187,10 @@ let test_batch_park_storm () =
    duplicate one, and survivors always finish                        *)
 
 let test_kill_storm () =
-  sim_park ();
   let total_kills = ref 0 in
   for seed = 1 to 400 do
-    Inject.reset_stats ();
     let plan = Inject.Plan.make ~lethal:true ~arm_window:2 ~seed:(Int64.of_int (seed * 31)) () in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f = 0) (fun () ->
         let q = aggressive_queue () in
         let h = Array.init 4 (fun _ -> Q.register q) in
         let got = ref [] in
@@ -237,25 +227,8 @@ let test_kill_storm () =
           @ List.concat_map (fun i -> List.init 4 (fun k -> (i * 10) + k + 1)) [ 1; 2; 3 ]
         in
         let optional = if !venq < 4 then [ !venq + 1 ] else [] in
-        let sorted = List.sort compare all in
-        let rec no_dup = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-            no_dup tl
-          | _ -> ()
-        in
-        no_dup sorted;
-        List.iter
-          (fun v ->
-            if not (List.mem v definite || List.mem v optional) then
-              Alcotest.failf "seed %d: alien value %d" seed v)
-          sorted;
-        let missing =
-          List.length (List.filter (fun v -> not (List.mem v sorted)) definite)
-        in
-        if missing > kills then
-          Alcotest.failf "seed %d: %d values missing but only %d kills (each kill strands <= 1)"
-            seed missing kills)
+        (* each kill strands <= 1 *)
+        expect_clean seed (Storm.conserved ~optional ~allowance:kills ~definite all))
   done;
   if !total_kills = 0 then
     Alcotest.fail "no kill ever fired across 400 seeds: lethal plans are dead code?"
@@ -269,20 +242,16 @@ let test_kill_storm () =
    duplication stays impossible (the per-cell claim CASes are
    unchanged). *)
 let test_batch_kill_storm () =
-  sim_park ();
   let total_kills = ref 0 in
   let batch = 3 in
   let rounds = 3 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1
         ~points:[ Inject.Enq_batch_after_faa; Inject.Deq_batch_after_faa ]
         ~seed:(Int64.of_int (seed * 17)) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f = 0) (fun () ->
         let q = aggressive_queue () in
         let h = Array.init 3 (fun _ -> Q.register q) in
         let got = ref [] in
@@ -315,16 +284,8 @@ let test_batch_kill_storm () =
           done
         in
         ignore (run_ok ~seed [| victim; survivor 1; survivor 2 |]);
-        let all = List.sort compare (!got @ drain q h.(1)) in
         let kills = (Inject.total_stats ()).Inject.kills in
         total_kills := !total_kills + kills;
-        let rec no_dup = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-            no_dup tl
-          | _ -> ()
-        in
-        no_dup all;
         let definite =
           !committed
           @ List.concat_map
@@ -334,18 +295,10 @@ let test_batch_kill_storm () =
                   (List.init rounds Fun.id))
               [ 1; 2 ]
         in
-        List.iter
-          (fun v ->
-            if not (List.mem v definite || List.mem v !in_flight) then
-              Alcotest.failf "seed %d: alien value %d" seed v)
-          all;
-        let missing =
-          List.length (List.filter (fun v -> not (List.mem v all)) definite)
-        in
-        if missing > kills * batch then
-          Alcotest.failf
-            "seed %d: %d values missing but %d kills x batch %d (each kill strands <= batch)"
-            seed missing kills batch)
+        (* each kill strands <= batch *)
+        expect_clean seed
+          (Storm.conserved ~optional:!in_flight ~allowance:(kills * batch) ~definite
+             (!got @ drain q h.(1))))
   done;
   if !total_kills = 0 then
     Alcotest.fail "no batch kill ever fired across 300 seeds: lethal batch plans are dead code?"
@@ -373,30 +326,27 @@ let test_batch_kill_storm () =
 (* 2-of-4 parked in the freelist windows: pure delay, so conservation
    must be exact and the cap invariant untouched. *)
 let test_pool_park_storm () =
-  sim_park ();
-  Inject.reset_stats ();
   let cap = 6 in
-  let points = [ Inject.Seg_pool_acquire; Inject.Seg_pool_release ] in
+  let acquire_parks = ref 0 and release_parks = ref 0 in
   for seed = 1 to 300 do
     let plan =
-      Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int (seed * 433)) ()
+      Inject.Plan.make ~park:6 ~arm_window:1
+        ~points:[ Inject.Seg_pool_acquire; Inject.Seg_pool_release ]
+        ~seed:(Int64.of_int (seed * 433)) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f <= 1) (fun () ->
         let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 ~segment_cap:cap () in
         let h = Array.init 4 (fun _ -> Q.register q) in
         let got = ref [] in
         let producers_done = ref 0 in
+        let peak = ref 0 in
         (* 12 values through 6 segments' worth of cells keeps the
            budget exhausted: the park-prone producers really reach the
            acquire poll *)
         let producer i () =
           for k = 1 to 6 do
             Q.enqueue q h.(i) ((i * 10) + k);
-            if Q.allocated_segments q > cap then
-              Alcotest.failf "seed %d: %d segments allocated past cap %d" seed
-                (Q.allocated_segments q) cap
+            peak := max !peak (Q.allocated_segments q)
           done;
           (* a dequeue tail walks the park-prone fibers through
              cleanup's release loop too *)
@@ -416,23 +366,21 @@ let test_pool_park_storm () =
           done
         in
         ignore (run_ok ~seed [| producer 0; producer 1; consumer 2; consumer 3 |]);
-        let all = List.sort compare (!got @ drain q h.(2)) in
-        let expect =
-          List.sort compare (List.concat_map (fun i -> List.init 6 (fun k -> (i * 10) + k + 1)) [ 0; 1 ])
-        in
-        if all <> expect then
-          Alcotest.failf "seed %d: conservation broken under pool parks" seed;
-        if Q.live_segments q + Q.pooled_segments q > cap then
-          Alcotest.failf "seed %d: live+pooled %d+%d exceeds cap %d" seed (Q.live_segments q)
-            (Q.pooled_segments q) cap;
+        let expect = List.concat_map (fun i -> List.init 6 (fun k -> (i * 10) + k + 1)) [ 0; 1 ] in
+        expect_clean seed
+          (Storm.conserved ~allowance:0 ~definite:expect (!got @ drain q h.(2))
+          @ Storm.cap_within ~what:"segments allocated" ~cap !peak
+          @ Storm.cap_within ~what:"live + pooled segments" ~cap
+              (Q.live_segments q + Q.pooled_segments q));
         if Q.Internal.pool_length q <> Q.pooled_segments q then
           Alcotest.failf "seed %d: pool length %d disagrees with counter %d" seed
-            (Q.Internal.pool_length q) (Q.pooled_segments q))
+            (Q.Internal.pool_length q) (Q.pooled_segments q));
+    acquire_parks := !acquire_parks + parks_at [ Inject.Seg_pool_acquire ];
+    release_parks := !release_parks + parks_at [ Inject.Seg_pool_release ]
   done;
-  let parks p = (Inject.stats p).Inject.parks in
-  if parks Inject.Seg_pool_acquire = 0 then
+  if !acquire_parks = 0 then
     Alcotest.fail "no park at Seg_pool_acquire across 300 seeds: no cap pressure reached?";
-  if parks Inject.Seg_pool_release = 0 then
+  if !release_parks = 0 then
     Alcotest.fail "no park at Seg_pool_release across 300 seeds: cleanup never released?"
 
 (* Deaths in the freelist windows: a kill strands at most the
@@ -440,25 +388,22 @@ let test_pool_park_storm () =
    even when a crashed cleaner leaks its reset-but-unpushed
    segments. *)
 let test_pool_kill_storm () =
-  sim_park ();
   let cap = 8 in
   let acquire_kills = ref 0 in
   let release_kills = ref 0 in
   for seed = 1 to 400 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1
         ~points:[ Inject.Seg_pool_acquire; Inject.Seg_pool_release ]
         ~seed:(Int64.of_int ((seed * 131) + 7))
         ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f = 0) (fun () ->
         let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 ~segment_cap:cap () in
         let h = Array.init 4 (fun _ -> Q.register q) in
         let got = ref [] in
         let producers_done = ref 0 in
+        let peak = ref 0 in
         let venq = ref 0 in
         let enq_count = ref 0 in
         (* the victim enqueues first (arming the admission wait where
@@ -481,9 +426,7 @@ let test_pool_kill_storm () =
           for k = 1 to 6 do
             Q.enqueue q h.(1) (10 + k);
             incr enq_count;
-            if Q.allocated_segments q > cap then
-              Alcotest.failf "seed %d: %d segments allocated past cap %d" seed
-                (Q.allocated_segments q) cap
+            peak := max !peak (Q.allocated_segments q)
           done;
           incr producers_done
         in
@@ -508,30 +451,13 @@ let test_pool_kill_storm () =
         acquire_kills := !acquire_kills + (Inject.stats Inject.Seg_pool_acquire).Inject.kills;
         release_kills := !release_kills + (Inject.stats Inject.Seg_pool_release).Inject.kills;
         let kills = (Inject.total_stats ()).Inject.kills in
-        let all = !got @ drain q h.(2) in
-        let sorted = List.sort compare all in
-        let rec no_dup = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-            no_dup tl
-          | _ -> ()
-        in
-        no_dup sorted;
         let definite = List.init !venq (fun k -> k + 1) @ List.init 6 (fun k -> 10 + k + 1) in
         let optional = if !venq < 6 then [ !venq + 1 ] else [] in
-        List.iter
-          (fun v ->
-            if not (List.mem v definite || List.mem v optional) then
-              Alcotest.failf "seed %d: alien value %d" seed v)
-          sorted;
-        let missing =
-          List.length (List.filter (fun v -> not (List.mem v sorted)) definite)
-        in
-        if missing > kills then
-          Alcotest.failf "seed %d: %d values missing but only %d kills" seed missing kills;
-        if Q.live_segments q + Q.pooled_segments q > cap then
-          Alcotest.failf "seed %d: live+pooled %d+%d exceeds cap %d" seed (Q.live_segments q)
-            (Q.pooled_segments q) cap;
+        expect_clean seed
+          (Storm.conserved ~optional ~allowance:kills ~definite (!got @ drain q h.(2))
+          @ Storm.cap_within ~what:"segments allocated" ~cap !peak
+          @ Storm.cap_within ~what:"live + pooled segments" ~cap
+              (Q.live_segments q + Q.pooled_segments q));
         if Q.pooled_segments q > Q.Internal.pool_limit q then
           Alcotest.failf "seed %d: pool counter %d past its limit %d" seed
             (Q.pooled_segments q) (Q.Internal.pool_limit q))
@@ -544,17 +470,13 @@ let test_pool_kill_storm () =
 (* A dead slow-path enqueuer's published request is completed by
    helpers: the value it announced still flows to a dequeuer. *)
 let test_helping_completes_dead_enqueuer () =
-  sim_park ();
   let recovered = ref 0 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Enq_slow_published ]
         ~seed:(Int64.of_int seed) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f = 0) (fun () ->
         let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
         let h = Array.init 3 (fun _ -> Q.register q) in
         let got = ref [] in
@@ -572,21 +494,15 @@ let test_helping_completes_dead_enqueuer () =
         ignore (run_ok ~seed [| churn 0 100; churn 1 10; churn 2 20 |]);
         (* victim is dead; its handle must not pin anything *)
         Q.retire q h.(0);
-        let all = List.sort compare (!got @ drain q h.(1)) in
-        (* survivors die with nobody: all their values flow through *)
-        List.iter
-          (fun v ->
-            if not (List.mem v all) then
-              Alcotest.failf "seed %d: survivor value %d lost to a dead enqueuer" seed v)
-          (List.init 6 (fun k -> 10 + k + 1) @ List.init 6 (fun k -> 20 + k + 1));
-        (* the dead enqueuer's values appear at most once each *)
-        let rec dups = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: duplicated %d" seed a;
-            dups tl
-          | _ -> ()
-        in
-        dups all;
+        let all = !got @ drain q h.(1) in
+        (* survivors die with nobody: all their values flow through; the
+           dead enqueuer's values appear at most once each *)
+        expect_clean seed
+          (Storm.conserved
+             ~optional:(List.init 6 (fun k -> 100 + k + 1))
+             ~allowance:0
+             ~definite:(List.init 6 (fun k -> 10 + k + 1) @ List.init 6 (fun k -> 20 + k + 1))
+             all);
         let kills = (Inject.total_stats ()).Inject.kills in
         if kills > 0 && List.exists (fun v -> v > 100) all then incr recovered)
   done;
@@ -596,17 +512,13 @@ let test_helping_completes_dead_enqueuer () =
     Alcotest.fail "no published request of a dead enqueuer was ever helped to completion"
 
 let test_dead_dequeuer_strands_at_most_one () =
-  sim_park ();
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1
         ~points:[ Inject.Deq_fast_after_faa; Inject.Deq_slow_published ]
         ~seed:(Int64.of_int seed) ()
     in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f = 0) (fun () ->
         let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
         let h = Array.init 3 (fun _ -> Q.register q) in
         let got = ref [] in
@@ -628,37 +540,25 @@ let test_dead_dequeuer_strands_at_most_one () =
           done
         in
         ignore (run_ok ~seed [| victim; producer; consumer |]);
-        let all = List.sort compare (!got @ drain q h.(1)) in
         let kills = (Inject.total_stats ()).Inject.kills in
-        let missing = 8 - List.length all in
-        if missing > kills then
-          Alcotest.failf "seed %d: %d values missing, %d kills" seed missing kills;
-        let rec dups = function
-          | a :: (b :: _ as tl) ->
-            if a = b then Alcotest.failf "seed %d: duplicated %d" seed a;
-            dups tl
-          | _ -> ()
-        in
-        dups all)
+        expect_clean seed
+          (Storm.conserved ~allowance:kills ~definite:(List.init 8 (fun k -> k + 1))
+             (!got @ drain q h.(1))))
   done
 
 (* Dying while holding the cleanup token must not wedge reclamation:
    the token is restored on the way out (Fun.protect in [cleanup]),
    so later cleanups still run. *)
 let test_cleanup_token_death_recovers () =
-  sim_park ();
   let exercised = ref 0 in
   for seed = 1 to 200 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Cleanup_token_held ]
         ~seed:(Int64.of_int seed) ()
     in
     let q = Q.create ~patience:0 ~segment_shift:1 ~max_garbage:2 () in
     let h = Array.init 3 (fun _ -> Q.register q) in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f = 0) (fun () ->
         let churn i () =
           try
             for k = 1 to 8 do
@@ -694,21 +594,20 @@ let test_cleanup_token_death_recovers () =
    consumer parked on a held ticket delays nobody; values are
    conserved exactly. *)
 let test_topology_park_storm () =
-  sim_park ();
-  Inject.reset_stats ();
   let points = Inject.points_of_class Inject.Topology in
   let plan seed = Inject.Plan.make ~park:6 ~arm_window:1 ~points ~seed:(Int64.of_int seed) () in
+  let fired = ref 0 in
+  let conserves what seed ~definite got =
+    expect_clean ~what:(what ^ " seed") seed (Storm.conserved ~allowance:0 ~definite got);
+    fired := !fired + parks_at points
+  in
   for seed = 1 to 100 do
     (* SPSC: producer fiber 0 (victim), consumer fiber 1 *)
     (let module Q = Simsched.Sim.Spsc in
      let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
      let hp = Q.register q and hc = Q.register q in
      let got = ref [] in
-     Inject.with_controller
-       (fun p ->
-         if Sim.current_fiber () = 0 then Inject.Plan.decide (plan (seed * 7919)) p
-         else Inject.Continue)
-       (fun () ->
+     armed (plan (seed * 7919)) (fun f -> f = 0) (fun () ->
          ignore
            (run_ok ~seed
               [|
@@ -722,21 +621,13 @@ let test_topology_park_storm () =
                   done);
               |]));
      let rec drain acc = match Q.dequeue q hc with Some v -> drain (v :: acc) | None -> acc in
-     check
-       Alcotest.(list int)
-       (Printf.sprintf "spsc seed %d: parked storm conserves values" seed)
-       (List.init 8 (fun i -> i + 1))
-       (List.sort compare (!got @ drain [])));
+     conserves "spsc" seed ~definite:(List.init 8 (fun i -> i + 1)) (!got @ drain []));
     (* MPSC: producers 0 (victim) and 1, consumer 2 *)
     (let module Q = Simsched.Sim.Mpsc in
      let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
      let h = Array.init 3 (fun _ -> Q.register q) in
      let got = ref [] in
-     Inject.with_controller
-       (fun p ->
-         if Sim.current_fiber () = 0 then Inject.Plan.decide (plan (seed * 31)) p
-         else Inject.Continue)
-       (fun () ->
+     armed (plan (seed * 31)) (fun f -> f = 0) (fun () ->
          let producer t () =
            for i = 1 to 4 do
              Q.enqueue q h.(t) ((t * 100) + i)
@@ -751,21 +642,15 @@ let test_topology_park_storm () =
      let rec drain acc =
        match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc
      in
-     check
-       Alcotest.(list int)
-       (Printf.sprintf "mpsc seed %d: parked storm conserves values" seed)
-       (List.sort compare (List.init 4 (fun i -> i + 1) @ List.init 4 (fun i -> 100 + i + 1)))
-       (List.sort compare (!got @ drain [])));
+     conserves "mpsc" seed
+       ~definite:(List.init 4 (fun i -> i + 1) @ List.init 4 (fun i -> 100 + i + 1))
+       (!got @ drain []));
     (* SPMC: producer 0, consumers 1 (victim) and 2 *)
     (let module Q = Simsched.Sim.Spmc in
      let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
      let h = Array.init 3 (fun _ -> Q.register q) in
      let got = ref [] in
-     Inject.with_controller
-       (fun p ->
-         if Sim.current_fiber () = 1 then Inject.Plan.decide (plan (seed * 17)) p
-         else Inject.Continue)
-       (fun () ->
+     armed (plan (seed * 17)) (fun f -> f = 1) (fun () ->
          let consumer t () =
            for _ = 1 to 4 do
              match Q.dequeue q h.(t) with Some v -> got := v :: !got | None -> ()
@@ -784,22 +669,14 @@ let test_topology_park_storm () =
      let rec drain acc =
        match Q.dequeue q h.(1) with Some v -> drain (v :: acc) | None -> acc
      in
-     check
-       Alcotest.(list int)
-       (Printf.sprintf "spmc seed %d: parked storm conserves values" seed)
-       (List.init 8 (fun i -> i + 1))
-       (List.sort compare (!got @ drain [])));
+     conserves "spmc" seed ~definite:(List.init 8 (fun i -> i + 1)) (!got @ drain []));
     (* Adaptive: two producers force a switch mid-stream; a park in
        the drain window must not wedge the commit *)
     (let module Q = Simsched.Sim.Adaptive_queue in
      let q = Q.create ~patience:2 ~segment_shift:1 ~max_garbage:2 () in
      let h = Array.init 3 (fun _ -> Q.register q) in
      let got = ref [] in
-     Inject.with_controller
-       (fun p ->
-         if Sim.current_fiber () <= 1 then Inject.Plan.decide (plan (seed * 13)) p
-         else Inject.Continue)
-       (fun () ->
+     armed (plan (seed * 13)) (fun f -> f <= 1) (fun () ->
          let producer t () =
            for i = 1 to 4 do
              Q.enqueue q h.(t) ((t * 100) + i)
@@ -814,16 +691,11 @@ let test_topology_park_storm () =
      let rec drain acc =
        match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc
      in
-     check
-       Alcotest.(list int)
-       (Printf.sprintf "adaptive seed %d: parked storm conserves values" seed)
-       (List.sort compare (List.init 4 (fun i -> i + 1) @ List.init 4 (fun i -> 100 + i + 1)))
-       (List.sort compare (!got @ drain [])))
+     conserves "adaptive" seed
+       ~definite:(List.init 4 (fun i -> i + 1) @ List.init 4 (fun i -> 100 + i + 1))
+       (!got @ drain []))
   done;
-  let fired =
-    List.fold_left (fun acc p -> acc + (Inject.stats p).Inject.parks) 0 points
-  in
-  if fired = 0 then
+  if !fired = 0 then
     Alcotest.fail "no topology park ever fired across the sweep: dead injection points?"
 
 (* A producer killed in the MPSC hole window (ticket FAA'd, cell
@@ -831,10 +703,8 @@ let test_topology_park_storm () =
    forever without stalling: every other value still flows, nothing
    duplicates, and at most the one in-flight value per kill is lost. *)
 let test_topo_dead_producer_leaves_hole () =
-  sim_park ();
   let total_kills = ref 0 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Topo_enq_pending ]
         ~seed:(Int64.of_int (seed * 23)) ()
@@ -844,9 +714,7 @@ let test_topo_dead_producer_leaves_hole () =
     let h = Array.init 3 (fun _ -> Q.register q) in
     let got = ref [] in
     let venq = ref 0 in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f = 0) (fun () ->
         let victim () =
           try
             for k = 1 to 4 do
@@ -867,26 +735,11 @@ let test_topo_dead_producer_leaves_hole () =
         in
         ignore (run_ok ~seed [| victim; producer; consumer |]));
     let rec drain acc = match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc in
-    let all = List.sort compare (!got @ drain []) in
     let kills = (Inject.total_stats ()).Inject.kills in
     total_kills := !total_kills + kills;
-    let rec no_dup = function
-      | a :: (b :: _ as tl) ->
-        if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-        no_dup tl
-      | _ -> ()
-    in
-    no_dup all;
     let definite = List.init !venq (fun k -> 100 + k + 1) @ List.init 4 (fun k -> 10 + k + 1) in
     let optional = if !venq < 4 then [ 100 + !venq + 1 ] else [] in
-    List.iter
-      (fun v ->
-        if not (List.mem v definite || List.mem v optional) then
-          Alcotest.failf "seed %d: alien value %d" seed v)
-      all;
-    let missing = List.length (List.filter (fun v -> not (List.mem v all)) definite) in
-    if missing > kills then
-      Alcotest.failf "seed %d: %d values missing but only %d kills" seed missing kills;
+    expect_clean seed (Storm.conserved ~optional ~allowance:kills ~definite (!got @ drain []));
     (* the permanent hole must not wedge later traffic *)
     Q.enqueue q h.(1) 999;
     (match Q.dequeue q h.(2) with
@@ -901,10 +754,8 @@ let test_topo_dead_producer_leaves_hole () =
    most that one, and the ticket's segment pin only costs memory,
    never progress. *)
 let test_topo_dead_ticket_strands_at_most_one () =
-  sim_park ();
   let total_kills = ref 0 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Topo_deq_pending ]
         ~seed:(Int64.of_int (seed * 29)) ()
@@ -913,9 +764,7 @@ let test_topo_dead_ticket_strands_at_most_one () =
     let q = Q.create ~segment_shift:1 ~max_garbage:2 () in
     let h = Array.init 3 (fun _ -> Q.register q) in
     let got = ref [] in
-    Inject.with_controller
-      (fun p -> if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f = 0) (fun () ->
         let victim () =
           try
             for _ = 1 to 4 do
@@ -935,20 +784,11 @@ let test_topo_dead_ticket_strands_at_most_one () =
         in
         ignore (run_ok ~seed [| victim; producer; consumer |]));
     let rec drain acc = match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc in
-    let all = List.sort compare (!got @ drain []) in
     let kills = (Inject.total_stats ()).Inject.kills in
     total_kills := !total_kills + kills;
-    let rec no_dup = function
-      | a :: (b :: _ as tl) ->
-        if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-        no_dup tl
-      | _ -> ()
-    in
-    no_dup all;
-    let missing = 8 - List.length all in
-    if missing > kills then
-      Alcotest.failf "seed %d: %d values missing but only %d kills (each strands <= 1)" seed
-        missing kills
+    (* each kill strands <= 1 *)
+    expect_clean seed
+      (Storm.conserved ~allowance:kills ~definite:(List.init 8 (fun k -> k + 1)) (!got @ drain []))
   done;
   if !total_kills = 0 then
     Alcotest.fail "no ticket-window kill ever fired: lethal topology plans are dead code?"
@@ -959,10 +799,8 @@ let test_topo_dead_ticket_strands_at_most_one () =
    up to one in-flight value per kill, and the queue stays fully
    operational on the new backend. *)
 let test_topo_switch_death_recovers () =
-  sim_park ();
   let total_kills = ref 0 in
   for seed = 1 to 300 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1 ~points:[ Inject.Topo_switch_draining ]
         ~seed:(Int64.of_int (seed * 37)) ()
@@ -972,10 +810,7 @@ let test_topo_switch_death_recovers () =
     let h = Array.init 3 (fun _ -> Q.register q) in
     let got = ref [] in
     let venq = [| 0; 0 |] in
-    Inject.with_controller
-      (fun p ->
-        if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
+    armed plan (fun f -> f <= 1) (fun () ->
         (* both producers are victims: whichever one performs the
            spsc->mpsc switch can die in the drain window *)
         let producer t () =
@@ -993,16 +828,8 @@ let test_topo_switch_death_recovers () =
         in
         ignore (run_ok ~seed [| producer 0; producer 1; consumer |]));
     let rec drain acc = match Q.dequeue q h.(2) with Some v -> drain (v :: acc) | None -> acc in
-    let all = List.sort compare (!got @ drain []) in
     let kills = (Inject.total_stats ()).Inject.kills in
     total_kills := !total_kills + kills;
-    let rec no_dup = function
-      | a :: (b :: _ as tl) ->
-        if a = b then Alcotest.failf "seed %d: value %d dequeued twice" seed a;
-        no_dup tl
-      | _ -> ()
-    in
-    no_dup all;
     (* completed enqueues are definite; the in-flight value of a kill
        in the drain window is "die late": absorbed until the switch
        commits, so the enqueue itself lands and the value may appear
@@ -1014,14 +841,7 @@ let test_topo_switch_death_recovers () =
       (if venq.(0) < 4 then [ venq.(0) + 1 ] else [])
       @ if venq.(1) < 4 then [ 100 + venq.(1) + 1 ] else []
     in
-    List.iter
-      (fun v ->
-        if not (List.mem v definite || List.mem v optional) then
-          Alcotest.failf "seed %d: alien value %d" seed v)
-      all;
-    let missing = List.length (List.filter (fun v -> not (List.mem v all)) definite) in
-    if missing > kills then
-      Alcotest.failf "seed %d: %d completed values missing but only %d kills" seed missing kills;
+    expect_clean seed (Storm.conserved ~optional ~allowance:kills ~definite (!got @ drain []));
     (* the switch committed (or was never needed): the queue works *)
     Q.enqueue q h.(2) 999;
     (match Q.dequeue q h.(2) with
@@ -1032,64 +852,47 @@ let test_topo_switch_death_recovers () =
     Alcotest.fail "no switch-drain kill ever fired: lethal topology plans are dead code?"
 
 (* The storm build of the adaptive family on real domains: hardware
-   scheduling instead of the sim, park and kill plans armed. *)
+   scheduling instead of the sim, park and kill plans armed on 2 of 4
+   all-pairs domains.  The all-pairs storm degrades the queue to the
+   general backend; values must still be conserved there. *)
 let test_topo_real_storm_smoke () =
   let module W = Topology.Adaptive_inject in
   let run_storm ~lethal ~seed =
-    Inject.reset_stats ();
-    Inject.set_park (fun n -> Unix.sleepf (float_of_int n *. 1e-7));
     let plan =
       Inject.Plan.make ~park:50 ~lethal
         ~points:(Inject.points_of_class Inject.Topology)
-        ~seed ()
+        ~seed:(Int64.of_int seed) ()
     in
-    let is_victim = Domain.DLS.new_key (fun () -> false) in
     let q = W.create ~segment_shift:2 ~max_garbage:2 () in
     let ops = 2_000 in
-    let completed = Array.make 4 false in
-    Inject.with_controller
-      (fun p -> if Domain.DLS.get is_victim then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let worker d () =
-          if d < 2 then Domain.DLS.set is_victim true;
+    let domains =
+      Storm.run ~park:(Storm.sleep_park 1e-7) ~plan ~victims:2 4 (fun d l ->
           let h = W.register q in
           Fun.protect ~finally:(fun () -> W.retire q h) @@ fun () ->
-          try
-            for i = 1 to ops do
-              W.enqueue q h ((d * ops) + i);
-              ignore (W.dequeue q h)
-            done;
-            completed.(d) <- true
-          with Inject.Killed _ -> ()
-        in
-        let ds = List.init 4 (fun d -> Domain.spawn (worker d)) in
-        List.iter Domain.join ds);
-    Array.iteri
-      (fun d ok ->
-        if (not ok) && (d >= 2 || not lethal) then
-          Alcotest.failf "domain %d failed to complete (lethal=%b)" d lethal)
-      completed;
-    (* the all-pairs storm degraded it to the general backend; the
-       queue must still be consistent there *)
+          for i = 0 to ops - 1 do
+            W.enqueue q h ((d * ops) + i);
+            l.enqueued <- i + 1;
+            match W.dequeue q h with Some v -> l.got <- v :: l.got | None -> ()
+          done)
+    in
     let h = W.register q in
-    let rec drain n = match W.dequeue q h with Some _ -> drain (n + 1) | None -> n in
-    ignore (drain 0);
-    W.retire q h
+    let rec drain acc = match W.dequeue q h with Some v -> drain (v :: acc) | None -> acc in
+    let drained = drain [] in
+    W.retire q h;
+    let kills = (Inject.total_stats ()).Inject.kills in
+    expect_clean ~what:"plan seed" seed
+      (Storm.audit ~ops ~in_flight:1 ~allowance:kills ~drained domains)
   in
-  run_storm ~lethal:false ~seed:21L;
-  run_storm ~lethal:true ~seed:22L
+  run_storm ~lethal:false ~seed:21;
+  run_storm ~lethal:true ~seed:22
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: one (sim seed, plan seed) pair is one storm           *)
 
 let storm_trace ~sim_seed ~plan_seed =
-  sim_park ();
-  Inject.reset_stats ();
   let plan = Inject.Plan.make ~park:6 ~arm_window:2 ~seed:(Int64.of_int plan_seed) () in
   let trace = ref [] in
-  Inject.with_controller
-    (fun p -> if Sim.current_fiber () <= 1 then Inject.Plan.decide plan p else Inject.Continue)
-    (fun () ->
+  armed plan (fun f -> f <= 1) (fun () ->
       let q = aggressive_queue () in
       let h = Array.init 4 (fun _ -> Q.register q) in
       let actor i () =
@@ -1126,41 +929,27 @@ let test_same_seed_same_storm () =
 let test_real_storm_smoke () =
   let module W = Wfq.Wfqueue_inject in
   let run_storm ~lethal ~seed =
-    Inject.reset_stats ();
-    Inject.set_park (fun n -> Unix.sleepf (float_of_int n *. 1e-7));
-    let plan = Inject.Plan.make ~park:50 ~lethal ~seed () in
-    let is_victim = Domain.DLS.new_key (fun () -> false) in
+    let plan = Inject.Plan.make ~park:50 ~lethal ~seed:(Int64.of_int seed) () in
     let q = W.create ~patience:1 ~segment_shift:2 ~max_garbage:2 () in
     let ops = 2_000 in
-    let completed = Array.make 4 false in
-    Inject.with_controller
-      (fun p -> if Domain.DLS.get is_victim then Inject.Plan.decide plan p else Inject.Continue)
-      (fun () ->
-        let worker d () =
-          if d < 2 then Domain.DLS.set is_victim true;
+    let domains =
+      Storm.run ~park:(Storm.sleep_park 1e-7) ~plan ~victims:2 4 (fun d l ->
           let h = W.register q in
           Fun.protect ~finally:(fun () -> W.retire q h) @@ fun () ->
-          try
-            for i = 1 to ops do
-              W.enqueue q h ((d * ops) + i);
-              ignore (W.dequeue q h)
-            done;
-            completed.(d) <- true
-          with Inject.Killed _ -> ()
-        in
-        let ds = List.init 4 (fun d -> Domain.spawn (worker d)) in
-        List.iter Domain.join ds);
-    Array.iteri
-      (fun d ok ->
-        if (not ok) && (d >= 2 || not lethal) then
-          Alcotest.failf "domain %d failed to complete (lethal=%b)" d lethal)
-      completed;
-    (* queue still consistent after the storm *)
-    let rec drain n = match W.pop q with Some _ -> drain (n + 1) | None -> n in
-    ignore (drain 0)
+          for i = 0 to ops - 1 do
+            W.enqueue q h ((d * ops) + i);
+            l.enqueued <- i + 1;
+            match W.dequeue q h with Some v -> l.got <- v :: l.got | None -> ()
+          done)
+    in
+    let rec drain acc = match W.pop q with Some v -> drain (v :: acc) | None -> acc in
+    let drained = drain [] in
+    let kills = (Inject.total_stats ()).Inject.kills in
+    expect_clean ~what:"plan seed" seed
+      (Storm.audit ~ops ~in_flight:1 ~allowance:kills ~drained domains)
   in
-  run_storm ~lethal:false ~seed:11L;
-  run_storm ~lethal:true ~seed:12L
+  run_storm ~lethal:false ~seed:11;
+  run_storm ~lethal:true ~seed:12
 
 let () =
   Alcotest.run "inject"

@@ -1,6 +1,6 @@
 (* Tests for the effects-based task scheduler (lib/sched).
 
-   Three layers, mirroring how the subsystem is built:
+   Four layers, mirroring how the subsystem is built:
    - the lock-free core (promises + Chase–Lev deque) model-checked on
      the simsched shim: exhaustive preemption-bounded exploration and
      ≥500-seed random sweeps of the steal-vs-pop and resolve-vs-await
@@ -9,7 +9,10 @@
      micropools, worker death, shutdown stranding;
    - the storm build (Sched.Scheduler_inject): seeded kill plans over
      the queue and scheduler windows, asserting zero stranded
-     promises. *)
+     promises;
+   - the admission/shutdown protocol both share ([Sched_protocol]),
+     explored on the simsched shim, and the default pool driven from
+     outside, shutdown races included. *)
 
 let check = Alcotest.check
 
@@ -17,6 +20,9 @@ module Sim = Simsched.Sim
 module SC = Sim.Sched_core
 module Deque = SC.Deque
 module Promise = SC.Promise
+module Storm = Harness.Storm
+
+let everyone = Storm.Only (fun () -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Deque: sequential semantics                                        *)
@@ -272,7 +278,7 @@ let test_kill_resolve_window () =
         if resolve_hard (Error 13) then incr st.wins
     in
     let awaiter () = ignore (Promise.add_waiter st.p (waiter st) : bool) in
-    Inject.with_controller (Inject.Plan.decide plan) (fun () ->
+    Storm.armed ~plan everyone (fun () ->
         let stats = Sim.run ~seed:(Int64.of_int seed) [| resolver; awaiter; awaiter |] in
         if stats.Sim.max_steps_hit then Alcotest.failf "seed %d: step limit" seed);
     promise_check st ~n_waiters:2 ~ident:(Printf.sprintf "resolve-kill seed %d" seed);
@@ -287,9 +293,7 @@ let test_park_storms () =
      fiber is descheduled mid-window; conservation and exactly-once
      must be schedule-independent.  300 seeds over the deque
      scenario. *)
-  Inject.set_park (fun n -> for _ = 1 to min n 16 do Sim.yield () done);
-  Fun.protect ~finally:(fun () -> Inject.set_park (fun n -> for _ = 1 to n do Domain.cpu_relax () done))
-  @@ fun () ->
+  let park n = for _ = 1 to min n 16 do Sim.yield () done in
   for seed = 1 to 300 do
     let st = { d = Deque.create ~capacity:16 (); taken = ref [] } in
     let plan =
@@ -298,7 +302,7 @@ let test_park_storms () =
           [ Inject.Sched_steal_pending; Inject.Sched_park_pending; Inject.Sched_resolve_pending ]
         ~seed:(Int64.of_int seed) ()
     in
-    Inject.with_controller (Inject.Plan.decide plan) (fun () ->
+    Storm.armed ~park ~plan everyone (fun () ->
         let stats =
           Sim.run ~seed:(Int64.of_int seed)
             (deque_fibers st ~n_items:8 ~n_pops:4 ~n_thieves:2 ~attempts:6)
@@ -513,6 +517,222 @@ let test_no_strand_after_all_workers_die () =
   check Alcotest.bool "sweep aborted something" true (o.S.aborted_promises >= 1)
 
 (* ------------------------------------------------------------------ *)
+(* The default pool from outside: submit, await, poll                 *)
+
+let test_submit_await () =
+  with_sched ~workers:2 (fun t ->
+      let p = S.async t (fun () -> 21 * 2) in
+      check Alcotest.bool "resolves ok" true (S.Promise.result p = Ok 42))
+
+let test_many_tasks () =
+  with_sched ~workers:2 (fun t ->
+      let ps = List.init 500 (fun i -> S.async t (fun () -> i * i)) in
+      List.iteri
+        (fun i p ->
+          match S.Promise.result p with
+          | Ok v -> check Alcotest.int (Printf.sprintf "task %d" i) (i * i) v
+          | Error _ -> Alcotest.fail "unexpected failure")
+        ps)
+
+let test_exception_propagates () =
+  with_sched ~workers:2 (fun t ->
+      match S.Promise.result (S.async t (fun () -> failwith "boom")) with
+      | Error (Failure msg) -> check Alcotest.string "exn payload" "boom" msg
+      | Ok _ | Error _ -> Alcotest.fail "expected Failure")
+
+let test_exception_does_not_kill_worker () =
+  with_sched ~workers:1 (fun t ->
+      ignore (S.Promise.result (S.async t (fun () -> failwith "first")));
+      (* the single worker must have survived to run this: *)
+      check Alcotest.bool "worker alive" true (S.Promise.result (S.async t (fun () -> 7)) = Ok 7))
+
+let test_poll () =
+  with_sched ~workers:2 (fun t ->
+      let p = S.async t (fun () -> 5) in
+      ignore (S.Promise.result p);
+      check Alcotest.bool "poll after resolve" true (S.Promise.poll p = Some (Ok 5));
+      let stalled =
+        S.async t (fun () ->
+            Unix.sleepf 0.05;
+            1)
+      in
+      (* may or may not be done yet; both are legal, it must not hang *)
+      ignore (S.Promise.poll stalled);
+      ignore (S.Promise.result stalled))
+
+let test_parallel_map () =
+  with_sched ~workers:3 (fun t ->
+      let ps = List.map (fun x -> S.async t (fun () -> x + 1)) [ 1; 2; 3; 4; 5 ] in
+      let oks = List.map (fun p -> match S.Promise.result p with Ok v -> v | Error _ -> -1) ps in
+      check Alcotest.(list int) "mapped in order" [ 2; 3; 4; 5; 6 ] oks)
+
+let test_submitters_from_many_domains () =
+  with_sched ~workers:2 (fun t ->
+      let submitters =
+        List.init 3 (fun s ->
+            Domain.spawn (fun () -> List.init 100 (fun i -> S.async t (fun () -> (s * 100) + i))))
+      in
+      let total =
+        List.fold_left
+          (fun acc p -> match S.Promise.result p with Ok v -> acc + v | Error _ -> acc)
+          0
+          (List.concat_map Domain.join submitters)
+      in
+      (* sum over s in 0..2, i in 0..99 of (100 s + i) *)
+      check Alcotest.int "all results" ((300 * 100) + (3 * 4950)) total)
+
+(* Every promise returned by a successful [async] resolves, whichever
+   side of a racing shutdown it lands on: many rounds of submitter
+   domains racing [shutdown]. *)
+let test_shutdown_under_load () =
+  for round = 1 to 300 do
+    let t = S.create ~workers:1 () in
+    let submitter s =
+      Domain.spawn (fun () ->
+          let rec grab i acc =
+            if i >= 8 then acc
+            else
+              match S.async t (fun () -> (s * 100) + i) with
+              | p -> grab (i + 1) (p :: acc)
+              | exception Invalid_argument _ -> acc (* scheduler closed: legal *)
+          in
+          grab 0 [])
+    in
+    let d1 = submitter 1 and d2 = submitter 2 in
+    S.shutdown t;
+    List.iteri
+      (fun i p ->
+        match poll_until ~what:(Printf.sprintf "round %d promise %d" round i) p with
+        | Ok _ | Error S.Shutdown -> ()
+        | Error e -> Alcotest.failf "round %d: unexpected error %s" round (Printexc.to_string e))
+      (Domain.join d1 @ Domain.join d2);
+    check Alcotest.int
+      (Printf.sprintf "round %d: no live workers after shutdown" round)
+      0 (List.hd (S.obs t)).S.live_workers
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Admission/shutdown protocol, model-checked                         *)
+
+(* The admission/shutdown/drain logic on the simulated scheduler.  The
+   bug this guards against: a worker dequeues EMPTY, then observes
+   [stopping], and exits while a racing submit's ticket sits queued —
+   the submitter's promise would then never resolve.  Running the
+   exact shipped protocol text ([Sched.Sched_protocol.Make]) on
+   [Sim.Atomic_shim] makes every atomic access a preemption point, so
+   the race windows are explored deterministically. *)
+
+module SimQ = Sim.Queue
+
+module SP =
+  Sched.Sched_protocol.Make
+    (Sim.Atomic_shim)
+    (struct
+      type 'a t = 'a SimQ.t
+      type 'a handle = 'a SimQ.handle
+
+      let enqueue = SimQ.enqueue
+      let dequeue = SimQ.dequeue
+    end)
+
+(* One scenario: [n_sub] submitters race one shutdowner and one
+   bounded worker shift.  Resolutions are counted after the post-run
+   worker finish + residual drain (both outside the scheduler, where
+   sim yields are no-ops — modelling [shutdown] running after the
+   interleaving settled). *)
+type sim_pool_state = {
+  proto : SP.t;
+  handles : SP.ticket SimQ.handle array;
+  resolutions : int array; (* run+abort calls per submitter's ticket *)
+  admissions : SP.admission option array;
+}
+
+let make_sim_pool_state ~n_sub () =
+  let q = SimQ.create ~patience:1 () in
+  {
+    proto = SP.create q;
+    handles = Array.init (n_sub + 2) (fun _ -> SimQ.register q);
+    resolutions = Array.make n_sub 0;
+    admissions = Array.make n_sub None;
+  }
+
+let sim_pool_fibers st ~n_sub =
+  let submitter s () =
+    let a =
+      SP.submit st.proto st.handles.(s)
+        ~run:(fun () -> st.resolutions.(s) <- st.resolutions.(s) + 1)
+        ~abort:(fun () -> st.resolutions.(s) <- st.resolutions.(s) + 1)
+    in
+    st.admissions.(s) <- Some a
+  in
+  let shutdowner () = SP.begin_shutdown st.proto in
+  let worker () =
+    (* bounded shift: the systematic explorer cannot drive an
+       unbounded idle loop to completion *)
+    let budget = ref 60 in
+    let continue = ref true in
+    while !continue && !budget > 0 do
+      decr budget;
+      match SP.worker_step st.proto st.handles.(n_sub) with
+      | SP.Exit -> continue := false
+      | SP.Ran | SP.Stale | SP.Idle -> ()
+    done
+  in
+  Array.append (Array.init n_sub submitter) [| shutdowner; worker |]
+
+let sim_pool_check st ~n_sub ~ident =
+  (* after the interleaving: the shutdown path finishes the worker's
+     shift and sweeps residuals, exactly like [shutdown] *)
+  let continue = ref true in
+  let budget = ref 10_000 in
+  while !continue do
+    decr budget;
+    if !budget = 0 then Alcotest.failf "%s: worker never drained out" ident;
+    match SP.worker_step st.proto st.handles.(n_sub) with
+    | SP.Exit -> continue := false
+    | SP.Ran | SP.Stale | SP.Idle -> ()
+  done;
+  ignore (SP.drain st.proto st.handles.(n_sub + 1));
+  for s = 0 to n_sub - 1 do
+    match st.admissions.(s) with
+    | None -> Alcotest.failf "%s: submitter %d never returned" ident s
+    | Some SP.Rejected ->
+      if st.resolutions.(s) <> 0 then
+        Alcotest.failf "%s: rejected ticket %d resolved %d times" ident s st.resolutions.(s)
+    | Some (SP.Accepted | SP.Aborted) ->
+      if st.resolutions.(s) <> 1 then
+        Alcotest.failf "%s: ticket %d resolved %d times (want exactly 1)" ident s
+          st.resolutions.(s)
+  done
+
+let test_protocol_explore () =
+  (* systematic: every schedule with <= 2 forced preemptions of
+     2 submitters vs shutdown vs worker *)
+  let n_sub = 2 in
+  let state = ref None in
+  let r =
+    Sim.explore ~max_schedules:60_000 ~preemptions:2
+      ~make_fibers:(fun () ->
+        let st = make_sim_pool_state ~n_sub () in
+        state := Some st;
+        sim_pool_fibers st ~n_sub)
+      ~check:(fun () -> sim_pool_check (Option.get !state) ~n_sub ~ident:"explore")
+      ()
+  in
+  if r.Sim.truncated_runs > 0 then Alcotest.fail "truncated schedules in protocol exploration";
+  check Alcotest.bool "explored a non-trivial space" true (r.Sim.schedules > 100)
+
+let test_protocol_seed_sweep () =
+  (* randomized: deeper interleavings than the preemption bound *)
+  let n_sub = 3 in
+  for seed = 1 to 1_000 do
+    let st = make_sim_pool_state ~n_sub () in
+    let stats = Sim.run ~seed:(Int64.of_int seed) (sim_pool_fibers st ~n_sub) in
+    if stats.Sim.max_steps_hit then Alcotest.failf "seed %d: step limit" seed;
+    sim_pool_check st ~n_sub ~ident:(Printf.sprintf "seed %d" seed)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Storm build: seeded kill plans over queue + scheduler windows      *)
 
 module SI = Sched.Scheduler_inject
@@ -528,9 +748,7 @@ let test_storm_kill_fan_out () =
     let plan = Inject.Plan.make ~lethal:true ~seed:(Int64.of_int (seed * 7919)) () in
     (* victims are the worker domains; the driver (this domain) must
        survive to audit, exactly like the repro storm drivers *)
-    let driver = Domain.self () in
-    let decide p = if Domain.self () = driver then Inject.Continue else Inject.Plan.decide plan p in
-    Inject.with_controller decide (fun () ->
+    Storm.armed ~plan Storm.All_but_driver (fun () ->
         let roots =
           List.init n_roots (fun r ->
               SI.async t (fun () ->
@@ -572,14 +790,11 @@ let test_storm_park_fan_out () =
   (* same shape, parks instead of kills: victims stall in the windows
      but nothing dies, so every root must complete Ok with the exact
      fan-in sum *)
-  Inject.set_park (fun n -> Unix.sleepf (float_of_int n *. 1e-6));
-  Fun.protect ~finally:(fun () -> Inject.set_park (fun n -> for _ = 1 to n do Domain.cpu_relax () done))
-  @@ fun () ->
   let n_roots = 30 and n_kids = 4 in
   for seed = 1 to 8 do
     let t = SI.create ~workers:4 () in
     let plan = Inject.Plan.make ~park:500 ~seed:(Int64.of_int (seed * 104729)) () in
-    Inject.with_controller (Inject.Plan.decide plan) (fun () ->
+    Storm.armed ~plan everyone (fun () ->
         let roots =
           List.init n_roots (fun r ->
               SI.async t (fun () ->
@@ -637,5 +852,24 @@ let () =
         [
           Alcotest.test_case "seeded kill storm (fan-out)" `Quick test_storm_kill_fan_out;
           Alcotest.test_case "seeded park storm (fan-out)" `Quick test_storm_park_fan_out;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "submit/await" `Quick test_submit_await;
+          Alcotest.test_case "many tasks" `Quick test_many_tasks;
+          Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
+          Alcotest.test_case "worker survives exception" `Quick test_exception_does_not_kill_worker;
+          Alcotest.test_case "poll" `Quick test_poll;
+          Alcotest.test_case "parallel_map" `Quick test_parallel_map;
+          Alcotest.test_case "many submitters" `Quick test_submitters_from_many_domains;
+        ] );
+      ( "protocol",
+        [
+          Alcotest.test_case "submit vs shutdown vs worker, explored" `Quick test_protocol_explore;
+          Alcotest.test_case "seeded interleaving sweep" `Quick test_protocol_seed_sweep;
+        ] );
+      ( "adversity",
+        [
+          Alcotest.test_case "shutdown under load strands nothing" `Quick test_shutdown_under_load;
         ] );
     ]

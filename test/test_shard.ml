@@ -606,16 +606,14 @@ let test_bounded_enq_kill_accounting () =
   let total_kills = ref 0 in
   let total_rejections = ref 0 in
   for seed = 1 to 200 do
-    Inject.reset_stats ();
     let plan =
       Inject.Plan.make ~lethal:true ~arm_window:1
         ~points:[ Inject.Enq_batch_after_faa ]
         ~seed:(Int64.of_int ((seed * 7919) + 17))
         ()
     in
-    Inject.with_controller
-      (fun p ->
-        if Sim.current_fiber () = 0 then Inject.Plan.decide plan p else Inject.Continue)
+    Harness.Storm.armed ~plan
+      (Harness.Storm.Only (fun () -> Sim.current_fiber () = 0))
       (fun () ->
         (* capacity 6 per shard against 24 values keeps real rejection
            pressure on both producers while the consumer drains *)
@@ -669,22 +667,15 @@ let test_bounded_enq_kill_accounting () =
           | None -> ()
         in
         drain ();
-        let all = List.sort compare !got in
-        let rec dups = function
-          | a :: (b :: _ as tl) -> if a = b then Some a else dups tl
-          | _ -> None
-        in
-        (match dups all with
-        | Some v -> failf "seed %d: value %d dequeued twice" seed v
-        | None -> ());
-        List.iter
-          (fun v ->
-            if not (List.mem v all) then
-              failf
-                "seed %d: committed value %d missing — an enqueue-side kill must strand \
-                 only its own in-flight batch"
-                seed v)
-          !committed)
+        (* zero allowance: an enqueue-side kill strands only its own
+           in-flight batch, whose values are optional *)
+        let produced base = List.init per_producer (fun i -> base + i) in
+        match
+          Harness.Storm.conserved ~optional:(produced 100 @ produced 1000) ~allowance:0
+            ~definite:!committed !got
+        with
+        | [] -> ()
+        | v :: _ -> failf "seed %d: %s" seed (Harness.Storm.violation_to_string v))
   done;
   if !total_kills = 0 then
     fail "no Enq_batch_after_faa kill fired across 200 seeds — storm is dead code";
