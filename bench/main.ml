@@ -2,18 +2,18 @@
    paper (quick methodology) and measures single-threaded per-op cost
    with Bechamel.
 
-     dune exec bench/main.exe -- [--smoke] [--json [PATH]]
+     dune exec bench/main.exe -- [--smoke] [--json PATH]
 
    --smoke       CI-sized run: Bechamel + Figure 2 (pairs) + the
                  false-sharing microbenchmark only, with smaller op
                  counts; skips Table 2, latency, the Power7 panel, the
                  fifty-fifty benchmark and the ablations.
-   --json [PATH] after running, write the machine-readable results
+   --json PATH   after running, write the machine-readable results
                  (Bechamel ns/pair, Figure 2 pairs points, false
-                 sharing, wait-freedom telemetry, host info) to PATH
-                 (default BENCH_pr3.json).  The committed BENCH_pr3.json
-                 is the baseline bin/bench_gate.exe checks CI runs
-                 against.
+                 sharing, wait-freedom telemetry, host info) to PATH.
+                 PATH is required: the committed BENCH_pr*.json files
+                 are historical results, and CI gates its run against
+                 BENCH_pr10.json with bin/bench_gate.exe.
 
    Full-strength runs (the paper's 10-invocation methodology, 10^7
    ops) are available through bin/repro.exe; this executable is sized
@@ -30,7 +30,7 @@ open Bechamel.Toolkit
 (* CLI                                                                *)
 
 let usage () =
-  prerr_endline "usage: bench/main.exe [--smoke] [--json [PATH]]";
+  prerr_endline "usage: bench/main.exe [--smoke] [--json PATH]";
   exit 2
 
 type cli = { smoke : bool; json_path : string option }
@@ -41,14 +41,12 @@ let parse_cli () =
   let rec go = function
     | [] -> ()
     | "--smoke" :: rest -> smoke := true; go rest
-    | "--json" :: rest -> (
-      match rest with
-      | path :: rest' when String.length path > 0 && path.[0] <> '-' ->
-        json_path := Some path;
-        go rest'
-      | _ ->
-        json_path := Some "BENCH_pr3.json";
-        go rest)
+    | "--json" :: path :: rest when String.length path > 0 && path.[0] <> '-' ->
+      json_path := Some path;
+      go rest
+    | "--json" :: _ ->
+      prerr_endline "bench/main.exe: --json needs a PATH";
+      usage ()
     | arg :: _ ->
       Printf.eprintf "bench/main.exe: unknown argument %S\n" arg;
       usage ()

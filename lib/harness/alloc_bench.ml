@@ -63,30 +63,30 @@ let measure ?(warmup_pairs = 60_000) ?(pairs = 20_000) ?(via_dequeue_or = false)
    [enq_batch] of [batch] ints, one [deq_batch_into] refilling the
    same buffer.  Deltas are divided by [batch] before recording, so
    the row reads in the same words-per-operation unit as the others.
-   Runs on the int production queue directly — the point of the API
+   Runs on the production queue at [int] directly — the point of the API
    is that the whole round trip, batching included, allocates
    nothing. *)
 let measure_batch_into ?(warmup_pairs = 60_000) ?(pairs = 20_000) ?(batch = 64) () =
-  let q = Wfq.Wfqueue_int.create ~patience:10 () in
-  let h = Wfq.Wfqueue_int.register q in
+  let q = Wfq.Wfqueue.create ~patience:10 () in
+  let h = Wfq.Wfqueue.register q in
   let buf = Array.init batch (fun i -> i) in
   let rounds = max 1 (warmup_pairs / batch) in
   for _ = 1 to rounds do
-    Wfq.Wfqueue_int.enq_batch q h buf;
-    ignore (Wfq.Wfqueue_int.deq_batch_into q h buf ~default:min_int)
+    Wfq.Wfqueue.enq_batch q h buf;
+    ignore (Wfq.Wfqueue.deq_batch_into q h buf ~default:min_int)
   done;
   let acc = Obs.Alloc_probe.create () in
   let fbatch = float_of_int batch in
   let rounds = max 1 (pairs / batch) in
   for _ = 1 to rounds do
     let w0 = Gc.minor_words () in
-    Wfq.Wfqueue_int.enq_batch q h buf;
+    Wfq.Wfqueue.enq_batch q h buf;
     let w1 = Gc.minor_words () in
     for _ = 1 to batch do
       Obs.Alloc_probe.record acc Obs.Alloc_probe.Enqueue ((w1 -. w0) /. fbatch)
     done;
     let w0 = Gc.minor_words () in
-    let n = Wfq.Wfqueue_int.deq_batch_into q h buf ~default:min_int in
+    let n = Wfq.Wfqueue.deq_batch_into q h buf ~default:min_int in
     let w1 = Gc.minor_words () in
     for _ = 1 to batch do
       Obs.Alloc_probe.record acc Obs.Alloc_probe.Dequeue ((w1 -. w0) /. fbatch)
@@ -95,7 +95,7 @@ let measure_batch_into ?(warmup_pairs = 60_000) ?(pairs = 20_000) ?(batch = 64) 
        so the buffer stays full for the next round *)
     if n < batch then Array.fill buf n (batch - n) 0
   done;
-  Wfq.Wfqueue_int.retire q h;
+  Wfq.Wfqueue.retire q h;
   {
     aname = Printf.sprintf "wf-10-deq-batch-into-%d" batch;
     pairs = rounds * batch;
@@ -115,7 +115,7 @@ let default_rows ?warmup_pairs ?pairs () =
     (* instrumented build: the event tier must add no words *)
     measure ?warmup_pairs ?pairs ~via_dequeue_or:true
       (Queues.wf_obs ~patience:10 ~name:"wf-10-obs-deq-or" ());
-    (* the int facade end to end *)
+    (* the int-specialized API end to end *)
     measure ?warmup_pairs ?pairs ~via_dequeue_or:true (Queues.wf_int ~patience:10 ());
     (* the caller-buffer batch API: zero words for the whole round trip *)
     measure_batch_into ?warmup_pairs ?pairs ();

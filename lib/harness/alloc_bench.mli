@@ -12,7 +12,7 @@
 
     The default rows tell the PR-6 story: the generic option API pays
     exactly its [Some] box, [dequeue_or] pays nothing, the
-    instrumented build pays no extra words, and the int facade is zero
+    instrumented build pays no extra words, and the int API is zero
     end to end. *)
 
 type row = {

@@ -92,9 +92,9 @@ let table2 ?(quick = false) ?threads ?total_ops () =
       for _ = 1 to iterations do
         ignore (Runner.run_once instance spec ~threads:k)
       done;
-      match instance.Queues.op_stats () with
+      match instance.Queues.snapshot () with
       | None -> assert false (* the WF factory always reports stats *)
-      | Some stats ->
+      | Some { Obs.Snapshot.ops = stats; _ } ->
         Report.add_row t
           [
             string_of_int k;

@@ -8,9 +8,9 @@ type ops = {
 (* Build an [ops], deriving [dequeue_or] from the option-returning
    dequeue when the implementation has no native one.  The derived
    form still pays the implementation's [Some] box; queues with a real
-   word-returning path (the WF family since PR 6) pass [~dequeue_or]
-   so the alloc probe and the int-vs-boxed rows measure the genuine
-   allocation-free dequeue. *)
+   word-returning path pass [~dequeue_or] (the WF family gets it from
+   [Of] below) so the alloc probe and the int-vs-boxed rows measure
+   the genuine allocation-free dequeue. *)
 let make_ops ?dequeue_or ~enqueue ~dequeue ~release () =
   let dequeue_or =
     match dequeue_or with
@@ -22,8 +22,7 @@ let make_ops ?dequeue_or ~enqueue ~dequeue ~release () =
 type instance = {
   iname : string;
   register : unit -> ops;
-  op_stats : unit -> Wfq.Op_stats.t option;
-  reset_op_stats : unit -> unit;
+  reset_stats : unit -> unit;
   snapshot : unit -> Obs.Snapshot.t option;
 }
 
@@ -34,137 +33,96 @@ type factory = {
   make : unit -> instance;
 }
 
+(* The one factory shape of the WF family: [create] builds a fresh
+   queue per instance, each participating domain registers its own
+   handle, and [release] retires it so steady-state iterations on one
+   instance measure the queue, not an ever-growing ring of dead
+   handles (the next iteration's register recycles the slot). *)
+module Of (Q : Topology.Variant_intf.OPS) = struct
+  let factory ~name ~description (create : unit -> int Q.t) =
+    {
+      name;
+      description;
+      is_real_queue = true;
+      make =
+        (fun () ->
+          let q = create () in
+          {
+            iname = name;
+            register =
+              (fun () ->
+                let h = Q.register q in
+                {
+                  enqueue = (fun v -> Q.enqueue q h v);
+                  dequeue = (fun () -> Q.dequeue q h);
+                  dequeue_or = (fun d -> Q.dequeue_or q h d);
+                  release = (fun () -> Q.retire q h);
+                });
+            reset_stats = (fun () -> Q.reset_stats q);
+            snapshot = (fun () -> Some (Q.snapshot q));
+          });
+    }
+end
+
+module Of_wf = Of (Wfq.Wfqueue)
+
 let wf ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> Printf.sprintf "wf-%d" patience in
-  {
-    name;
-    description =
-      Printf.sprintf "wait-free queue (patience %d%s)" patience
-        (match reclamation with Some false -> ", reclamation off" | Some true | None -> "");
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Wfq.Wfqueue.create ~patience ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Wfq.Wfqueue.register q in
-              (* retire on release so steady-state iterations on one
-                 instance measure the queue, not an ever-growing ring
-                 of dead handles; the next iteration's register
-                 recycles the slot *)
-              make_ops
-                ~enqueue:(fun v -> Wfq.Wfqueue.enqueue q h v)
-                ~dequeue:(fun () -> Wfq.Wfqueue.dequeue q h)
-                ~dequeue_or:(fun d -> Wfq.Wfqueue.dequeue_or q h d)
-                ~release:(fun () -> Wfq.Wfqueue.retire q h)
-                ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue.reset_stats q);
-          snapshot = (fun () -> Some (Wfq.Wfqueue.snapshot q));
-        });
-  }
+  Of_wf.factory
+    ~name:(Option.value name ~default:(Printf.sprintf "wf-%d" patience))
+    ~description:
+      (Printf.sprintf "wait-free queue (patience %d%s)" patience
+         (match reclamation with Some false -> ", reclamation off" | Some true | None -> ""))
+    (fun () -> Wfq.Wfqueue.create ~patience ?segment_shift ?max_garbage ?reclamation ())
 
 (* Same queue, instrumented instantiation: the probe's event tier (CAS
    failures, cells skipped, helping) is compiled in.  Benchmarked
    side-by-side with [wf] to price the instrumentation; used by
    [repro stats] and the bench telemetry block. *)
 let wf_obs ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name =
-    match name with Some n -> n | None -> Printf.sprintf "wf-%d-obs" patience
-  in
-  {
-    name;
-    description =
-      Printf.sprintf "wait-free queue (patience %d), telemetry probe enabled" patience;
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Wfq.Wfqueue_obs.create ~patience ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Wfq.Wfqueue_obs.register q in
-              make_ops
-                ~enqueue:(fun v -> Wfq.Wfqueue_obs.enqueue q h v)
-                ~dequeue:(fun () -> Wfq.Wfqueue_obs.dequeue q h)
-                ~dequeue_or:(fun d -> Wfq.Wfqueue_obs.dequeue_or q h d)
-                ~release:(fun () -> Wfq.Wfqueue_obs.retire q h)
-                ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue_obs.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue_obs.reset_stats q);
-          snapshot = (fun () -> Some (Wfq.Wfqueue_obs.snapshot q));
-        });
-  }
+  let module F = Of (Wfq.Wfqueue_obs) in
+  F.factory
+    ~name:(Option.value name ~default:(Printf.sprintf "wf-%d-obs" patience))
+    ~description:
+      (Printf.sprintf "wait-free queue (patience %d), telemetry probe enabled" patience)
+    (fun () -> Wfq.Wfqueue_obs.create ~patience ?segment_shift ?max_garbage ?reclamation ())
 
-(* The int-specialized facade ([Wfqueue_int]): same compiled queue as
-   [wf], but the per-domain ops route dequeues through the
-   allocation-free [dequeue_or] (EMPTY = min_int sentinel, outside the
-   bench payload domain of small non-negative ints) and wrap the
-   option only when a caller insists on [dequeue].  Benched against
-   [wf] to price the generic API's option box — the last hot-path
-   allocation the PR-6 audit left by design. *)
+(* The int-specialized API: the same compiled queue as [wf], but the
+   per-domain ops route dequeues through the allocation-free
+   [dequeue_or] (EMPTY = min_int sentinel, outside the bench payload
+   domain of small non-negative ints) and wrap the option only when a
+   caller insists on [dequeue].  Benched against [wf] to price the
+   generic API's option box, the one hot-path allocation left by
+   design. *)
 let wf_int ?(patience = 10) ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> Printf.sprintf "wf-int-%d" patience in
-  {
-    name;
-    description =
-      Printf.sprintf "wait-free queue, int-specialized API (patience %d, no option box)"
-        patience;
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Wfq.Wfqueue_int.create ~patience ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Wfq.Wfqueue_int.register q in
-              make_ops
-                ~enqueue:(fun v -> Wfq.Wfqueue_int.enqueue q h v)
-                ~dequeue:(fun () ->
-                  let v = Wfq.Wfqueue_int.dequeue_or q h min_int in
-                  if v = min_int then None else Some v)
-                ~dequeue_or:(fun d -> Wfq.Wfqueue_int.dequeue_or q h d)
-                ~release:(fun () -> Wfq.Wfqueue_int.retire q h)
-                ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue_int.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue_int.reset_stats q);
-          snapshot = (fun () -> Some (Wfq.Wfqueue_int.snapshot q));
-        });
-  }
+  let f =
+    Of_wf.factory
+      ~name:(Option.value name ~default:(Printf.sprintf "wf-int-%d" patience))
+      ~description:
+        (Printf.sprintf "wait-free queue, int-specialized API (patience %d, no option box)"
+           patience)
+      (fun () -> Wfq.Wfqueue.create ~patience ?segment_shift ?max_garbage ?reclamation ())
+  in
+  let register_int i () =
+    let o = i.register () in
+    let dequeue () =
+      let v = o.dequeue_or min_int in
+      if v = min_int then None else Some v
+    in
+    { o with dequeue }
+  in
+  { f with make = (fun () -> let i = f.make () in { i with register = register_int i }) }
 
 (* Sharded router over production queues: the d-bounded relaxed-FIFO
    deployment shape.  One factory per shard count so the bench tables
    show the scaling curve. *)
 let wf_shard ?(shards = 2) ?(patience = 10) ?capacity ?rebalance_every ?name () =
-  let name = match name with Some n -> n | None -> Printf.sprintf "wf-shard-%d" shards in
-  {
-    name;
-    description =
-      Printf.sprintf "sharded router over %d wait-free queues (relaxed FIFO%s)" shards
-        (match capacity with None -> "" | Some c -> Printf.sprintf ", bounded %d/shard" c);
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let t = Shard.Wf.create ~shards ?capacity ?rebalance_every ~patience () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Shard.Wf.register t in
-              make_ops
-                ~enqueue:(fun v -> Shard.Wf.enqueue t h v)
-                ~dequeue:(fun () -> Shard.Wf.dequeue t h)
-                ~release:(fun () -> Shard.Wf.retire t h)
-                ());
-          op_stats = (fun () -> Some (Shard.Wf.snapshot t).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Shard.Wf.reset_stats t);
-          snapshot = (fun () -> Some (Shard.Wf.snapshot t));
-        });
-  }
+  let module F = Of (Shard.Wf) in
+  F.factory
+    ~name:(Option.value name ~default:(Printf.sprintf "wf-shard-%d" shards))
+    ~description:
+      (Printf.sprintf "sharded router over %d wait-free queues (relaxed FIFO%s)" shards
+         (match capacity with None -> "" | Some c -> Printf.sprintf ", bounded %d/shard" c))
+    (fun () -> Shard.Wf.create ~shards ?capacity ?rebalance_every ~patience ())
 
 (* One wait-free queue driven through the k-cell batch operations,
    with client-side buffering: enqueues coalesce into one tail FAA per
@@ -189,6 +147,9 @@ let wf_batch ?(batch = 8) ?(patience = 10) ?name () =
               let h = Wfq.Wfqueue.register q in
               let outbuf = Array.make batch 0 in
               let out_len = ref 0 in
+              (* [deq_batch_into] reserves as many tickets as its
+                 buffer is long: one buffer per width *)
+              let inbufs = Array.init (batch + 1) (fun k -> Array.make k 0) in
               let prefetch = Queue.create () in
               let flush () =
                 if !out_len > 0 then begin
@@ -211,11 +172,13 @@ let wf_batch ?(batch = 8) ?(patience = 10) ?name () =
                       (* size the ticket batch by the visible backlog
                          so a near-empty queue is not hammered with
                          k-ticket EMPTY batches *)
-                      let want = min batch (max 1 (Wfq.Wfqueue.approx_length q)) in
-                      let out = Wfq.Wfqueue.deq_batch q h want in
-                      Array.iter
-                        (function Some v -> Queue.push v prefetch | None -> ())
-                        out;
+                      let inbuf =
+                        inbufs.(min batch (max 1 (Wfq.Wfqueue.approx_length q)))
+                      in
+                      let n = Wfq.Wfqueue.deq_batch_into q h inbuf ~default:0 in
+                      for i = 0 to n - 1 do
+                        Queue.push inbuf.(i) prefetch
+                      done;
                       if Queue.is_empty prefetch then None else Some (Queue.pop prefetch)
                     end)
                 ~release:(fun () ->
@@ -231,8 +194,7 @@ let wf_batch ?(batch = 8) ?(patience = 10) ?name () =
                     end;
                     Wfq.Wfqueue.retire q h)
                 ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue.reset_stats q);
+          reset_stats = (fun () -> Wfq.Wfqueue.reset_stats q);
           snapshot = (fun () -> Some (Wfq.Wfqueue.snapshot q));
         });
   }
@@ -248,82 +210,25 @@ let wf_batch ?(batch = 8) ?(patience = 10) ?name () =
    [Topology_bench], which builds role-correct workloads. *)
 
 let wf_spsc ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> "wf-spsc" in
-  {
-    name;
-    description = "specialized SPSC variant (no FAA, no CAS; single producer+consumer)";
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Topology.Spsc.create ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Topology.Spsc.register q in
-              make_ops
-                ~enqueue:(fun v -> Topology.Spsc.enqueue q h v)
-                ~dequeue:(fun () -> Topology.Spsc.dequeue q h)
-                ~dequeue_or:(fun d -> Topology.Spsc.dequeue_or q h d)
-                ~release:(fun () -> Topology.Spsc.retire q h)
-                ());
-          op_stats = (fun () -> Some (Topology.Spsc.snapshot q).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Topology.Spsc.reset_stats q);
-          snapshot = (fun () -> Some (Topology.Spsc.snapshot q));
-        });
-  }
+  let module F = Of (Topology.Spsc) in
+  F.factory
+    ~name:(Option.value name ~default:"wf-spsc")
+    ~description:"specialized SPSC variant (no FAA, no CAS; single producer+consumer)"
+    (fun () -> Topology.Spsc.create ?segment_shift ?max_garbage ?reclamation ())
 
 let wf_mpsc ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> "wf-mpsc" in
-  {
-    name;
-    description = "specialized MPSC variant (Jiffy-style: FAA tail, CAS-free single consumer)";
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Topology.Mpsc.create ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Topology.Mpsc.register q in
-              make_ops
-                ~enqueue:(fun v -> Topology.Mpsc.enqueue q h v)
-                ~dequeue:(fun () -> Topology.Mpsc.dequeue q h)
-                ~dequeue_or:(fun d -> Topology.Mpsc.dequeue_or q h d)
-                ~release:(fun () -> Topology.Mpsc.retire q h)
-                ());
-          op_stats = (fun () -> Some (Topology.Mpsc.snapshot q).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Topology.Mpsc.reset_stats q);
-          snapshot = (fun () -> Some (Topology.Mpsc.snapshot q));
-        });
-  }
+  let module F = Of (Topology.Mpsc) in
+  F.factory
+    ~name:(Option.value name ~default:"wf-mpsc")
+    ~description:"specialized MPSC variant (Jiffy-style: FAA tail, CAS-free single consumer)"
+    (fun () -> Topology.Mpsc.create ?segment_shift ?max_garbage ?reclamation ())
 
 let wf_spmc ?segment_shift ?max_garbage ?reclamation ?name () =
-  let name = match name with Some n -> n | None -> "wf-spmc" in
-  {
-    name;
-    description = "specialized SPMC variant (FAA head tickets, CAS-free single producer)";
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q = Topology.Spmc.create ?segment_shift ?max_garbage ?reclamation () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Topology.Spmc.register q in
-              make_ops
-                ~enqueue:(fun v -> Topology.Spmc.enqueue q h v)
-                ~dequeue:(fun () -> Topology.Spmc.dequeue q h)
-                ~dequeue_or:(fun d -> Topology.Spmc.dequeue_or q h d)
-                ~release:(fun () -> Topology.Spmc.retire q h)
-                ());
-          op_stats = (fun () -> Some (Topology.Spmc.snapshot q).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Topology.Spmc.reset_stats q);
-          snapshot = (fun () -> Some (Topology.Spmc.snapshot q));
-        });
-  }
+  let module F = Of (Topology.Spmc) in
+  F.factory
+    ~name:(Option.value name ~default:"wf-spmc")
+    ~description:"specialized SPMC variant (FAA head tickets, CAS-free single producer)"
+    (fun () -> Topology.Spmc.create ?segment_shift ?max_garbage ?reclamation ())
 
 (* Sharded router over topology-adaptive shards.  Safe in any
    workload (it degrades to the general queue once roles multiply),
@@ -334,31 +239,12 @@ let wf_spmc ?segment_shift ?max_garbage ?reclamation ?name () =
    backend plus the dispatch overhead — the honest deployment number
    for handle-churning callers. *)
 let wf_shard_adaptive ?(shards = 2) ?capacity ?rebalance_every ?name () =
-  let name = match name with Some n -> n | None -> "wf-shard-adaptive" in
-  {
-    name;
-    description =
-      Printf.sprintf "sharded router over %d topology-adaptive shards (relaxed FIFO)" shards;
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let t = Shard.Adaptive.create ~shards ?capacity ?rebalance_every () in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Shard.Adaptive.register t in
-              make_ops
-                ~enqueue:(fun v -> Shard.Adaptive.enqueue t h v)
-                ~dequeue:(fun () -> Shard.Adaptive.dequeue t h)
-                ~dequeue_or:(fun d -> Shard.Adaptive.dequeue_or t h d)
-                ~release:(fun () -> Shard.Adaptive.retire t h)
-                ());
-          op_stats = (fun () -> Some (Shard.Adaptive.snapshot t).Obs.Snapshot.ops);
-          reset_op_stats = (fun () -> Shard.Adaptive.reset_stats t);
-          snapshot = (fun () -> Some (Shard.Adaptive.snapshot t));
-        });
-  }
+  let module F = Of (Shard.Adaptive) in
+  F.factory
+    ~name:(Option.value name ~default:"wf-shard-adaptive")
+    ~description:
+      (Printf.sprintf "sharded router over %d topology-adaptive shards (relaxed FIFO)" shards)
+    (fun () -> Shard.Adaptive.create ~shards ?capacity ?rebalance_every ())
 
 let simple name description is_real_queue make_ops =
   {
@@ -371,8 +257,7 @@ let simple name description is_real_queue make_ops =
         {
           iname = name;
           register;
-          op_stats = (fun () -> None);
-          reset_op_stats = ignore;
+          reset_stats = ignore;
           snapshot = (fun () -> None);
         });
   }
@@ -384,33 +269,11 @@ let simple name description is_real_queue make_ops =
    bookkeeping (budget FAA per fresh segment, admission fields), not
    contention on the cap. *)
 let wf_bounded ?(patience = 10) ?(segment_cap = 64) ?segment_shift ?max_garbage ?name () =
-  let name = match name with Some n -> n | None -> "wf-bounded" in
-  {
-    name;
-    description =
-      Printf.sprintf "wait-free queue, bounded-memory mode (cap %d segments)" segment_cap;
-    is_real_queue = true;
-    make =
-      (fun () ->
-        let q =
-          Wfq.Wfqueue.create ~patience ~segment_cap ?segment_shift ?max_garbage ()
-        in
-        {
-          iname = name;
-          register =
-            (fun () ->
-              let h = Wfq.Wfqueue.register q in
-              make_ops
-                ~enqueue:(fun v -> Wfq.Wfqueue.enqueue q h v)
-                ~dequeue:(fun () -> Wfq.Wfqueue.dequeue q h)
-                ~dequeue_or:(fun d -> Wfq.Wfqueue.dequeue_or q h d)
-                ~release:(fun () -> Wfq.Wfqueue.retire q h)
-                ());
-          op_stats = (fun () -> Some (Wfq.Wfqueue.stats q));
-          reset_op_stats = (fun () -> Wfq.Wfqueue.reset_stats q);
-          snapshot = (fun () -> Some (Wfq.Wfqueue.snapshot q));
-        });
-  }
+  Of_wf.factory
+    ~name:(Option.value name ~default:"wf-bounded")
+    ~description:
+      (Printf.sprintf "wait-free queue, bounded-memory mode (cap %d segments)" segment_cap)
+    (fun () -> Wfq.Wfqueue.create ~patience ~segment_cap ?segment_shift ?max_garbage ())
 
 (* Nikolaev's SCQ (arXiv:1908.04511): the bounded lock-free ring
    baseline the bounded WF mode is measured against.  Capacity
@@ -486,16 +349,11 @@ let mutex =
           ~release:ignore ())
 
 let wf_llsc =
-  simple "wf-llsc" "wait-free queue with CAS-emulated FAA (the paper's Power7 setup; lock-free)"
-    true (fun () ->
-      let q = Wfq.Wfqueue_llsc.create () in
-      fun () ->
-        let h = Wfq.Wfqueue_llsc.register q in
-        make_ops
-          ~enqueue:(fun v -> Wfq.Wfqueue_llsc.enqueue q h v)
-          ~dequeue:(fun () -> Wfq.Wfqueue_llsc.dequeue q h)
-          ~dequeue_or:(fun d -> Wfq.Wfqueue_llsc.dequeue_or q h d)
-          ~release:(fun () -> Wfq.Wfqueue_llsc.retire q h) ())
+  let module F = Of (Wfq.Wfqueue_llsc) in
+  F.factory ~name:"wf-llsc"
+    ~description:
+      "wait-free queue with CAS-emulated FAA (the paper's Power7 setup; lock-free)"
+    (fun () -> Wfq.Wfqueue_llsc.create ())
 
 let kp_queue =
   simple "kp" "Kogan-Petrank queue (wait-free, phase-based helping)" true (fun () ->

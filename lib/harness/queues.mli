@@ -34,11 +34,11 @@ val make_ops :
 type instance = {
   iname : string;
   register : unit -> ops; (* called once per participating domain *)
-  op_stats : unit -> Wfq.Op_stats.t option; (* path breakdown, WF only *)
-  reset_op_stats : unit -> unit;
+  reset_stats : unit -> unit;
   snapshot : unit -> Obs.Snapshot.t option;
-      (* full telemetry snapshot (counters + segment/handle gauges),
-         WF only; the event tier is non-zero only for [wf_obs] *)
+      (* full telemetry snapshot (path counters + segment/handle
+         gauges), WF family only; the event tier is non-zero only for
+         [wf_obs] *)
 }
 
 type factory = {
@@ -60,10 +60,10 @@ val wf_obs : ?patience:int -> ?segment_shift:int -> ?max_garbage:int -> ?reclama
 
 val wf_int : ?patience:int -> ?segment_shift:int -> ?max_garbage:int -> ?reclamation:bool ->
   ?name:string -> unit -> factory
-(** The int-specialized facade ([Wfq.Wfqueue_int]): same compiled
-    queue as {!wf}, with dequeues routed through the allocation-free
-    [dequeue_or] (EMPTY = [min_int]).  Its delta against {!wf} prices
-    the generic API's option box. *)
+(** The int-specialized API: the same compiled queue as {!wf}
+    ([Wfq.Wfqueue] at [int]), with dequeues routed through the
+    allocation-free [dequeue_or] (EMPTY = [min_int]).  Its delta
+    against {!wf} prices the generic API's option box. *)
 
 val wf_shard :
   ?shards:int ->
@@ -75,10 +75,10 @@ val wf_shard :
   factory
 (** Sharded router ([Shard.Wf]) over [shards] production queues:
     d-bounded relaxed FIFO, optionally bounded at [capacity] values
-    per shard.  [op_stats]/[snapshot] fold the per-shard telemetry. *)
+    per shard.  [snapshot] folds the per-shard telemetry. *)
 
 val wf_batch : ?batch:int -> ?patience:int -> ?name:string -> unit -> factory
-(** One production queue driven through [enq_batch]/[deq_batch] with a
+(** One production queue driven through [enq_batch]/[deq_batch_into] with a
     client-side buffering facade: one tail FAA per [batch] enqueues,
     one head FAA per up-to-[batch] dequeues.  Values may sit in the
     per-handle buffer until the next dequeue or [release] flushes

@@ -47,7 +47,7 @@ type t = {
   mutable enq_batches : int;
       (** [enq_batch] calls that reserved at least one cell (one FAA
           each, regardless of batch size). *)
-  mutable deq_batches : int;  (** Likewise for [deq_batch]. *)
+  mutable deq_batches : int;  (** Likewise for [deq_batch_into]. *)
   mutable enq_batch_cells : int;
       (** Cells reserved across all [enq_batch] calls;
           [enq_batch_cells / enq_batches] is the realized amortization

@@ -68,11 +68,11 @@ module type INJECTOR = sig
 end
 
 module Make (P : Obs.Probe.S) (I : Inject.S) (Q : INJECTOR) = struct
-  module Core = Sched_algo.Make (Wfq.Atomic_prims.Real) (P) (I)
+  module Core = Sched_algo.Make (Primitives.Atomic_prims.Real) (P) (I)
 
   module Proto =
     Sched_protocol.Make
-      (Wfq.Atomic_prims.Real)
+      (Primitives.Atomic_prims.Real)
       (struct
         type 'a t = 'a Q.t
         type 'a handle = 'a Q.handle

@@ -13,7 +13,7 @@
    locally spawned tasks run LIFO (cache-warm) and only load imbalance
    pays a CAS. *)
 
-module Make (A : Wfq.Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
+module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
   module Promise = struct
     (* A write-once result cell.  The whole promise is one atomic
        state word: [Pending waiters] until resolution, then [Done r]

@@ -47,7 +47,7 @@ module type QUEUE = sig
   val dequeue : 'a t -> 'a handle -> 'a option
 end
 
-module Make (A : Wfq.Atomic_prims.S) (Q : QUEUE) = struct
+module Make (A : Primitives.Atomic_prims.S) (Q : QUEUE) = struct
   type ticket = {
     run : unit -> unit;  (** execute the task (resolves its future) *)
     abort : unit -> unit;  (** cancel it (resolves its future with [Shutdown]) *)

@@ -1,33 +1,7 @@
 (* Sharded MPMC router; see shard.mli for the contract and DESIGN.md
    §8 for the d-bounded ordering argument. *)
 
-module type QUEUE = sig
-  type 'a t
-  type 'a handle
-
-  val create :
-    ?patience:int ->
-    ?segment_shift:int ->
-    ?max_garbage:int ->
-    ?reclamation:bool ->
-    ?segment_cap:int ->
-    unit ->
-    'a t
-
-  val register : 'a t -> 'a handle
-  val retire : 'a t -> 'a handle -> unit
-  val enqueue : 'a t -> 'a handle -> 'a -> unit
-  val try_enqueue : 'a t -> 'a handle -> 'a -> bool
-  val dequeue : 'a t -> 'a handle -> 'a option
-  val dequeue_or : 'a t -> 'a handle -> 'a -> 'a
-  val enq_batch : 'a t -> 'a handle -> 'a array -> unit
-  val try_enq_batch : 'a t -> 'a handle -> 'a array -> bool
-  val deq_batch : 'a t -> 'a handle -> int -> 'a option array
-  val deq_batch_into : 'a t -> 'a handle -> 'a array -> default:'a -> int
-  val approx_length : 'a t -> int
-  val snapshot : 'a t -> Obs.Snapshot.t
-  val reset_stats : 'a t -> unit
-end
+module type QUEUE = Topology.Variant_intf.S
 
 module Router (A : Primitives.Atomic_prims.S) (Q : QUEUE) = struct
   (* Rebinding, not a fresh exception: the router's backpressure
@@ -239,41 +213,13 @@ module Router (A : Primitives.Atomic_prims.S) (Q : QUEUE) = struct
     let start = A.fetch_and_add t.deq_cursor 1 mod t.n in
     deq_or_scan t h default start 0
 
-  (* A shard that looks non-empty gets the full k-ticket batch; one
-     that looks empty gets a single-ticket probe, so an imprecise
-     length estimate cannot fabricate an EMPTY but also cannot burn
-     k tickets on a drained shard. *)
-  let deq_batch t h k =
-    if k <= 0 then [||]
-    else begin
-      let start = A.fetch_and_add t.deq_cursor 1 mod t.n in
-      let rec scan j =
-        if j = t.n then Array.make k None
-        else begin
-          let s = (start + j) mod t.n in
-          let want = if Q.approx_length t.shards.(s) > 0 then k else 1 in
-          let out = Q.deq_batch t.shards.(s) h.hs.(s) want in
-          if Array.exists Option.is_some out then begin
-            if j > 0 then ignore (A.fetch_and_add t.steals 1);
-            if want = k then out
-            else begin
-              let full = Array.make k None in
-              Array.blit out 0 full 0 want;
-              full
-            end
-          end
-          else scan (j + 1)
-        end
-      in
-      scan 0
-    end
-
-  (* Allocation-free batch dequeue: same probing discipline as
-     [deq_batch] — a full-width [deq_batch_into] on a shard that looks
-     non-empty, a single [dequeue_or] probe on one that looks empty —
-     but values land bare in the caller's buffer, so the router adds
-     zero allocations to the per-shard zero.  Same physically-distinct
-     [default] contract as [dequeue_or]. *)
+  (* Batch dequeue: a shard that looks non-empty gets a full-width
+     [deq_batch_into]; one that looks empty gets a single [dequeue_or]
+     probe, so an imprecise length estimate cannot fabricate an EMPTY
+     but also cannot burn k tickets on a drained shard.  Values land
+     bare in the caller's buffer, so the router adds zero allocations
+     to the per-shard zero.  Same physically-distinct [default]
+     contract as [dequeue_or]. *)
   let rec deq_into_scan t h (out : 'a array) default k start j =
     if j = t.n then begin
       Array.fill out 0 k default;
@@ -341,7 +287,6 @@ module Router (A : Primitives.Atomic_prims.S) (Q : QUEUE) = struct
 end
 
 module Wf = Router (Primitives.Atomic_prims.Real) (Wfq.Wfqueue)
-module Wf_obs = Router (Primitives.Atomic_prims.Real) (Wfq.Wfqueue_obs)
 module Storm = Router (Primitives.Atomic_prims.Real) (Wfq.Wfqueue_inject)
 
 (* Topology-adaptive shards: each shard starts on the cheapest
@@ -351,4 +296,3 @@ module Storm = Router (Primitives.Atomic_prims.Real) (Wfq.Wfqueue_inject)
    compile-out proof: the production Router never links the storm
    variants). *)
 module Adaptive = Router (Primitives.Atomic_prims.Real) (Topology.Adaptive)
-module Adaptive_storm = Router (Primitives.Atomic_prims.Real) (Topology.Adaptive_inject)

@@ -47,50 +47,9 @@
     ({!Router.enqueue}), fail softly ({!Router.try_enqueue}) or raise
     ({!Router.enqueue_exn} raising {!Router.Would_block}). *)
 
-(** The queue interface the router composes: what every
-    [Wfqueue_algo.Make] instantiation ([Wfqueue], [Wfqueue_obs],
-    [Wfqueue_inject], the simulated queue) and every specialized
-    [Topology] variant provides.  [dequeue_or] and [deq_batch_into]
-    are the allocation-free entry points (physically-distinct
-    [default] contract; see [Wfqueue.dequeue_or]). *)
-module type QUEUE = sig
-  type 'a t
-  type 'a handle
-
-  val create :
-    ?patience:int ->
-    ?segment_shift:int ->
-    ?max_garbage:int ->
-    ?reclamation:bool ->
-    ?segment_cap:int ->
-    unit ->
-    'a t
-  (** [segment_cap] selects the queue's own bounded-memory mode where
-      supported (see [Wfqueue.create]); implementations without one
-      may ignore it or refuse it, but must accept the argument. *)
-
-  val register : 'a t -> 'a handle
-  val retire : 'a t -> 'a handle -> unit
-  val enqueue : 'a t -> 'a handle -> 'a -> unit
-
-  val try_enqueue : 'a t -> 'a handle -> 'a -> bool
-  (** Admission-checked enqueue: [false] means the queue refused the
-      value right now (bounded-memory admission); an unbounded queue
-      always admits.  A [false] must have no protocol footprint. *)
-
-  val dequeue : 'a t -> 'a handle -> 'a option
-  val dequeue_or : 'a t -> 'a handle -> 'a -> 'a
-  val enq_batch : 'a t -> 'a handle -> 'a array -> unit
-
-  val try_enq_batch : 'a t -> 'a handle -> 'a array -> bool
-  (** All-or-nothing admission for a whole batch. *)
-
-  val deq_batch : 'a t -> 'a handle -> int -> 'a option array
-  val deq_batch_into : 'a t -> 'a handle -> 'a array -> default:'a -> int
-  val approx_length : 'a t -> int
-  val snapshot : 'a t -> Obs.Snapshot.t
-  val reset_stats : 'a t -> unit
-end
+module type QUEUE = Topology.Variant_intf.S
+(** The queue interface the router composes: the stack's one queue
+    signature, documented at {!Topology.Variant_intf.S}. *)
 
 module Router (A : Primitives.Atomic_prims.S) (Q : QUEUE) : sig
   type 'a t
@@ -194,22 +153,18 @@ module Router (A : Primitives.Atomic_prims.S) (Q : QUEUE) : sig
   val try_enq_batch : 'a t -> 'a handle -> 'a array -> bool
   val enq_batch_exn : 'a t -> 'a handle -> 'a array -> unit
 
-  val deq_batch : 'a t -> 'a handle -> int -> 'a option array
-  (** Batch dequeue from the first productive shard in rotation: a
-      shard that looks non-empty receives the full [k]-ticket batch
-      ([Wfqueue.deq_batch]); a shard that looks empty is probed with a
-      single ticket so an imprecise [approx_length] cannot fabricate
-      an EMPTY.  Returns the first shard answer containing at least
-      one value, or an all-[None] array once every shard really
-      answered EMPTY. *)
-
   val deq_batch_into : 'a t -> 'a handle -> 'a array -> default:'a -> int
-  (** Allocation-free {!deq_batch}: values land bare in the caller's
-      buffer (compacted to the front, remainder filled with
-      [default]), returning how many were written.  Same probing
-      discipline as {!deq_batch} and same [default] contract as
-      {!dequeue_or}.  With the shards' own [deq_batch_into] the whole
-      router round trip allocates nothing. *)
+  (** Batch dequeue from the first productive shard in rotation: a
+      shard that looks non-empty receives a full-width
+      [deq_batch_into]; a shard that looks empty is probed with a
+      single [dequeue_or] so an imprecise [approx_length] cannot
+      fabricate an EMPTY.  Values land bare in the caller's buffer
+      (compacted to the front, remainder filled with [default]) and
+      the call returns how many were written: the first shard answer
+      holding at least one value, or [0] once every shard really
+      answered EMPTY.  Same [default] contract as {!dequeue_or}.  With
+      the shards' own [deq_batch_into] the whole router round trip
+      allocates nothing. *)
 
   (** {1 Introspection} *)
 
@@ -256,9 +211,6 @@ module Wf : module type of Router (Primitives.Atomic_prims.Real) (Wfq.Wfqueue)
 (** Production router: hardware atomics over the production queue
     (probes and injection compiled out). *)
 
-module Wf_obs : module type of Router (Primitives.Atomic_prims.Real) (Wfq.Wfqueue_obs)
-(** Instrumented router for telemetry runs (event-tier counters on). *)
-
 module Storm : module type of Router (Primitives.Atomic_prims.Real) (Wfq.Wfqueue_inject)
 (** Fault-injection router for the storm driver: probes and injection
     points compiled in (transparent until a controller is
@@ -271,9 +223,3 @@ module Adaptive : module type of Router (Primitives.Atomic_prims.Real) (Topology
     Router text is reused verbatim — [Topology.Adaptive] satisfies
     {!QUEUE} — so single-threaded deployments pay the cheap variant
     and multi-threaded ones converge to the general queue per shard. *)
-
-module Adaptive_storm :
-    module type of Router (Primitives.Atomic_prims.Real) (Topology.Adaptive_inject)
-(** Fault-injection build of {!Adaptive}: kills and parks land in the
-    specialized variants' windows, in the adaptive switch window
-    ([Topo_switch_draining]) and in the general backend's windows. *)

@@ -14,7 +14,7 @@ let yield () = try Effect.perform Yield with Effect.Unhandled _ -> ()
 let running = ref (-1)
 let current_fiber () = !running
 
-module Atomic_shim : Wfq.Atomic_prims.S = struct
+module Atomic_shim : Primitives.Atomic_prims.S = struct
   (* Single-domain cells: the scheduler interleaves fibers only at
      yields, so plain mutation between yields is atomic by
      construction. *)

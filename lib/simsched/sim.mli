@@ -17,7 +17,7 @@
     Yields performed outside {!run} are no-ops, so building queues and
     registering handles may also happen outside the scheduler. *)
 
-module Atomic_shim : Wfq.Atomic_prims.S
+module Atomic_shim : Primitives.Atomic_prims.S
 
 module Queue : module type of Wfq.Wfqueue_algo.Make (Atomic_shim) (Obs.Probe.Enabled) (Inject.Enabled)
 

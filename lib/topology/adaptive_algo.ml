@@ -456,24 +456,6 @@ struct
     exit_op h;
     r
 
-  let deq_batch t h k =
-    note_consumer t h;
-    let b = enter t h in
-    let r =
-      try
-        match b, h.sub with
-        | Bspsc q, Sub_spsc sh -> Sp.deq_batch q sh k
-        | Bmpsc q, Sub_mpsc sh -> Mp.deq_batch q sh k
-        | Bspmc q, Sub_spmc sh -> Sm.deq_batch q sh k
-        | Bgen q, Sub_gen sh -> G.deq_batch q sh k
-        | _ -> assert false
-      with e ->
-        exit_op h;
-        raise e
-    in
-    exit_op h;
-    r
-
   let deq_batch_into t h out ~default =
     note_consumer t h;
     let b = enter t h in

@@ -185,29 +185,6 @@ module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = s
     end;
     Array.iter (fun v -> enqueue t h v) vs
 
-  let rec deq_batch_loop t h (out : 'a option array) k j =
-    if j = k then j
-    else
-      let w = dequeue_word t h in
-      if w == Cellword.bottom_w then j
-      else begin
-        out.(j) <- Some (Obj.obj w);
-        deq_batch_loop t h out k (j + 1)
-      end
-
-  let deq_batch t h k =
-    if not h.is_c then become_consumer t h;
-    if k <= 0 then [||]
-    else begin
-      if P.enabled then begin
-        h.stats.C.deq_batches <- h.stats.C.deq_batches + 1;
-        h.stats.C.deq_batch_cells <- h.stats.C.deq_batch_cells + k
-      end;
-      let out = Array.make k None in
-      ignore (deq_batch_loop t h out k 0);
-      out
-    end
-
   let rec deq_batch_into_loop t h (out : 'a array) k n =
     if n = k then n
     else

@@ -162,28 +162,22 @@ val try_enq_batch : 'a t -> 'a handle -> 'a array -> bool
 val enq_batch_exn : 'a t -> 'a handle -> 'a array -> unit
 (** {!try_enq_batch} raising {!Would_block} on rejection. *)
 
-val deq_batch : 'a t -> 'a handle -> int -> 'a option array
-(** Wait-free batch dequeue: reserves [k] consecutive cells with one
-    FAA on the head index and resolves each like a fast-path dequeue
-    (help the enqueue, claim the value), falling back to the per-cell
-    slow path on interference.  Returns exactly [k] slots in cell
-    order; [None] slots are EMPTY observations (the queue had fewer
-    than [k] values when the tickets were taken — batched consumers
-    should size [k] from {!approx_length} to avoid burning empty
-    tickets).  Not atomic, same contract as {!enq_batch}.  [k <= 0]
-    returns [[||]] without consuming tickets. *)
-
 val deq_batch_into : 'a t -> 'a handle -> 'a array -> default:'a -> int
-(** Allocation-free {!deq_batch}: reserves [Array.length out]
-    consecutive cells with one FAA and writes the dequeued values bare
-    into [out.(0) .. out.(n-1)] in cell order (compacted — EMPTY
-    observations are skipped, not represented), fills [out.(n) ..] with
-    [default], and returns [n].  No [Some] box per cell and no result
-    array: zero minor words per call in the production build
-    (Alloc_bench row "wf-10-deq-batch-into").  Same non-atomicity and
-    ticket-burning contract as {!deq_batch}; [default] needs no
+(** Wait-free batch dequeue: reserves [k = Array.length out]
+    consecutive cells with one FAA on the head index and resolves each
+    like a fast-path dequeue (help the enqueue, claim the value),
+    falling back to the per-cell slow path on interference.  The
+    values land bare in [out.(0) .. out.(n-1)] in cell order
+    ({e compacted}: EMPTY cells are skipped, not represented),
+    [out.(n) ..] is filled with [default], and the call returns [n].
+    All [k] tickets are consumed even when fewer values were there,
+    so batched consumers should size [out] from {!approx_length}.
+    Not atomic, same contract as {!enq_batch}.  No [Some] box per cell
+    and no result array: zero minor words per call in the production
+    build (Alloc_bench row "wf-10-deq-batch-into").  [default] needs no
     distinguishability property because the count [n] is the
-    authority.  A zero-length [out] is a no-op returning [0]. *)
+    authority.  A zero-length [out] is a no-op returning [0] and
+    consumes no ticket. *)
 
 val push : 'a t -> 'a -> unit
 (** {!enqueue} with a per-domain handle managed internally.  The hot

@@ -55,7 +55,7 @@
    bounded router over bounded shards needs a single handler. *)
 exception Would_block
 
-module Make (A : Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
+module Make (A : Primitives.Atomic_prims.S) (P : Obs.Probe.S) (I : Inject.S) = struct
 (* Port of Listings 2-5 of Yang & Mellor-Crummey, "A Wait-free Queue
    as Fast as Fetch-and-Add" (PPoPP 2016).  Comments of the form
    "L.nn" refer to line numbers in the paper's listings.
@@ -1288,8 +1288,8 @@ let enqueue (q : 'a t) (h : 'a handle) (v : 'a) =
 (* The word-returning dequeue shared by [dequeue] (option) and
    [dequeue_or] (default).  Only the [option] wrapper allocates — the
    unavoidable [Some] box of that API; [dequeue_or] returns the bare
-   value and is the zero-allocation dequeue ([Wfqueue_int], and the
-   alloc probe's subject). *)
+   value and is the zero-allocation dequeue (the alloc probe's
+   subject). *)
 let dequeue_raw (q : 'a t) (h : 'a handle) =
   ignore (protect_pointer h h.head);
   let w = dequeue_with_hzdp q h in
@@ -1380,73 +1380,10 @@ let enq_batch (q : 'a t) (h : 'a handle) (vs : 'a array) =
     wait_admission q (min k q.enq_capacity);
   enq_batch_unchecked q h vs
 
-let deq_batch (q : 'a t) (h : 'a handle) k : 'a option array =
-  if k <= 0 then [||]
-  else if q.segment_cap <> max_int && A.get q.head_index >= A.get q.tail_index then begin
-    (* bounded-mode pre-FAA empty check, as in [deq_attempt]: don't
-       burn k head tickets through segments the cap may not cover *)
-    h.stats.empty_dequeues <- h.stats.empty_dequeues + k;
-    Array.make k None
-  end
-  else begin
-    let cur = ref (protect_pointer h h.head) in
-    let first = A.fetch_and_add q.head_index k in
-    (* k head tickets consumed, no cell helped or claimed yet: dying
-       here can strand up to k values (dequeue-then-crash, k times) *)
-    if I.enabled then I.hit Inject.Deq_batch_after_faa;
-    if P.enabled then begin
-      h.stats.deq_batches <- h.stats.deq_batches + 1;
-      h.stats.deq_batch_cells <- h.stats.deq_batch_cells + k
-    end;
-    let out = Array.make k None in
-    let got = ref false in
-    for j = 0 to k - 1 do
-      let i = first + j in
-      let s = find_cell ~who:"deq_batch" ~advance:true q h !cur i in
-      if s != !cur then begin
-        A.set h.head s;
-        cur := s
-      end;
-      let w = help_enq q h s i in
-      if w == empty_w then begin
-        h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
-        h.stats.empty_dequeues <- h.stats.empty_dequeues + 1
-      end
-      else if
-        w != top_w && A.compare_and_set s.deqs.(i land q.seg_mask) Deq_bottom Deq_top
-      then begin
-        h.stats.fast_dequeues <- h.stats.fast_dequeues + 1;
-        out.(j) <- Some (Obj.obj w);
-        got := true
-      end
-      else begin
-        if P.enabled then begin
-          h.stats.deq_cas_failures <- h.stats.deq_cas_failures + 1;
-          h.stats.deq_batch_fallbacks <- h.stats.deq_batch_fallbacks + 1
-        end;
-        let w = deq_slow q h i in
-        A.set h.head !cur;
-        h.stats.slow_dequeues <- h.stats.slow_dequeues + 1;
-        if w == empty_w then h.stats.empty_dequeues <- h.stats.empty_dequeues + 1
-        else begin
-          out.(j) <- Some (Obj.obj w);
-          got := true
-        end
-      end
-    done;
-    if !got then begin
-      help_deq q h h.deq_peer;
-      h.deq_peer <- next_live_handle h.deq_peer
-    end;
-    A.set h.hzdp q.null_segment;
-    if q.reclamation then cleanup q h;
-    out
-  end
-
 (* Cell loop of [deq_batch_into]: a top-level recursion (a local
-   [let rec] would box a closure per call, against the PR 6 zero-
-   allocation discipline).  Values are compacted to the front of
-   [out]; returns how many were written. *)
+   [let rec] would box a closure per call, against the zero-allocation
+   discipline).  Values are compacted to the front of [out]; returns
+   how many were written. *)
 let rec deq_batch_into_loop q h (out : 'a array) k first cur j n =
   if j = k then n
   else begin
@@ -1484,14 +1421,17 @@ let rec deq_batch_into_loop q h (out : 'a array) k first cur j n =
     end
   end
 
-(* The allocation-free batch dequeue: same reservation protocol as
-   [deq_batch], but values land bare in the caller's array (no [Some]
-   per cell, no result-array allocation) with the remainder filled
-   with [default].  [Array.length out] is the ticket batch size. *)
+(* The batch dequeue: one FAA reserves [Array.length out] cells; each
+   resolves like a fast-path dequeue (help the enqueue, claim the
+   value) or falls back to the per-cell slow path.  Values land bare
+   in the caller's array (no [Some] per cell, no result array), EMPTY
+   cells are skipped, and the remainder is filled with [default]. *)
 let deq_batch_into (q : 'a t) (h : 'a handle) (out : 'a array) ~(default : 'a) : int =
   let k = Array.length out in
   if k = 0 then 0
   else if q.segment_cap <> max_int && A.get q.head_index >= A.get q.tail_index then begin
+    (* bounded-mode pre-FAA empty check, as in [deq_attempt]: don't
+       burn k head tickets through segments the cap may not cover *)
     h.stats.empty_dequeues <- h.stats.empty_dequeues + k;
     Array.fill out 0 k default;
     0
@@ -1499,6 +1439,8 @@ let deq_batch_into (q : 'a t) (h : 'a handle) (out : 'a array) ~(default : 'a) :
   else begin
     let cur = protect_pointer h h.head in
     let first = A.fetch_and_add q.head_index k in
+    (* k head tickets consumed, no cell helped or claimed yet: dying
+       here can strand up to k values (dequeue-then-crash, k times) *)
     if I.enabled then I.hit Inject.Deq_batch_after_faa;
     if P.enabled then begin
       h.stats.deq_batches <- h.stats.deq_batches + 1;

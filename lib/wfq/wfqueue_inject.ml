@@ -12,6 +12,6 @@
    until a controller is installed ([Inject.install]), so this build
    doubles as a sanity check that an idle injector perturbs nothing. *)
 
-include Wfqueue_algo.Make (Atomic_prims.Real) (Obs.Probe.Enabled) (Inject.Enabled)
+include Wfqueue_algo.Make (Primitives.Atomic_prims.Real) (Obs.Probe.Enabled) (Inject.Enabled)
 
 exception Would_block = Wfqueue_algo.Would_block

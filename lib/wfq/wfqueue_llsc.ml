@@ -5,6 +5,6 @@
    throughput relative to [Wfqueue] quantifies what native FAA
    buys — the "faa-emulation" ablation in the benchmarks. *)
 
-include Wfqueue_algo.Make (Atomic_prims.Emulated_faa) (Obs.Probe.Disabled) (Inject.Disabled)
+include Wfqueue_algo.Make (Primitives.Atomic_prims.Emulated_faa) (Obs.Probe.Disabled) (Inject.Disabled)
 
 exception Would_block = Wfqueue_algo.Would_block

@@ -12,6 +12,6 @@
    price of the instrumentation (the disabled build pays none of
    it). *)
 
-include Wfqueue_algo.Make (Atomic_prims.Real) (Obs.Probe.Enabled) (Inject.Disabled)
+include Wfqueue_algo.Make (Primitives.Atomic_prims.Real) (Obs.Probe.Enabled) (Inject.Disabled)
 
 exception Would_block = Wfqueue_algo.Would_block

@@ -1,10 +1,10 @@
 (* The allocation discipline, pinned: the disabled-probe fast path
    allocates zero minor words per enqueue/dequeue pair, the option API
    pays exactly its [Some] box, the Alloc_probe accumulator and gated
-   meter account correctly, the int facade is behaviorally identical
-   to the generic queue, dequeue_or linearizes under simsched
-   schedules, and the Gate's alloc checks fail on the regressions they
-   exist to catch.
+   meter account correctly, the int-specialized bench API (the
+   wf-int-10 factory) is behaviorally identical to the generic queue,
+   dequeue_or linearizes under simsched schedules, and the Gate's
+   alloc checks fail on the regressions they exist to catch.
 
    Methodology for the zero assertions: [Gc.minor_words] is an exact
    per-domain allocation counter (not a sampled statistic), so after
@@ -18,7 +18,6 @@
    words on every op) clears the tolerance by 20x. *)
 
 module Q = Wfq.Wfqueue
-module Qi = Wfq.Wfqueue_int
 module AP = Obs.Alloc_probe
 
 let check = Alcotest.check
@@ -117,13 +116,15 @@ let test_generic_dequeue_or_zero () =
     (Printf.sprintf "%.4f of ops exactly zero" zero_frac)
     true (zero_frac >= 0.99)
 
+(* The wf-int-10 row's ops: the factory's closures must add no words
+   to the queue's zero. *)
 let test_int_facade_zero () =
-  let q = Qi.create ~patience:10 () in
-  let h = Qi.register q in
+  let f = Harness.Queues.wf_int ~patience:10 () in
+  let ops = (f.Harness.Queues.make ()).Harness.Queues.register () in
   let wpo, zero_frac =
     measure_pairs ~warmup:60_000 ~pairs:20_000
-      ~enq:(fun i -> Qi.enqueue q h i)
-      ~deq:(fun () -> ignore (Qi.dequeue_or q h min_int))
+      ~enq:(fun i -> ops.Harness.Queues.enqueue i)
+      ~deq:(fun () -> ignore (ops.Harness.Queues.dequeue_or min_int))
   in
   Alcotest.(check bool)
     (Printf.sprintf "words/op %.4f <= 0.1" wpo)
@@ -212,23 +213,31 @@ let test_dequeue_or_semantics () =
 
 let test_int_vs_generic_equivalence () =
   (* the same seeded op sequence against the generic option API and
-     the int facade's dequeue_or must agree op for op *)
+     the wf-int-10 factory's ops (option dequeue routed through
+     dequeue_or, then dequeue_or itself) must agree op for op *)
   let rng = Primitives.Splitmix64.create 0xA110CL in
   let qg = Q.create ~patience:10 ~segment_shift:4 ~max_garbage:4 () in
   let hg = Q.register qg in
-  let qi = Qi.create ~patience:10 ~segment_shift:4 ~max_garbage:4 () in
-  let hi = Qi.register qi in
+  let f = Harness.Queues.wf_int ~patience:10 ~segment_shift:4 ~max_garbage:4 () in
+  let inst = f.Harness.Queues.make () in
+  let ops = inst.Harness.Queues.register () in
   for i = 0 to 9_999 do
     if Primitives.Splitmix64.bool rng then begin
       Q.enqueue qg hg i;
-      Qi.enqueue qi hi i
+      ops.Harness.Queues.enqueue i
     end
+    else if i land 2 = 0 then
+      check (Alcotest.option Alcotest.int) (Printf.sprintf "op %d" i) (Q.dequeue qg hg)
+        (ops.Harness.Queues.dequeue ())
     else
       let g = match Q.dequeue qg hg with Some v -> v | None -> min_int in
-      let v = Qi.dequeue_or qi hi min_int in
-      check Alcotest.int (Printf.sprintf "op %d" i) g v
+      check Alcotest.int (Printf.sprintf "op %d" i) g (ops.Harness.Queues.dequeue_or min_int)
   done;
-  check Alcotest.int "same length" (Q.approx_length qg) (Qi.approx_length qi)
+  (* the same backlog, value for value *)
+  let rec drain acc deq = match deq () with Some v -> drain (v :: acc) deq | None -> acc in
+  check (Alcotest.list Alcotest.int) "same backlog"
+    (drain [] (fun () -> Q.dequeue qg hg))
+    (drain [] ops.Harness.Queues.dequeue)
 
 (* ------------------------------------------------------------------ *)
 (* dequeue_or under simsched schedules                                 *)

@@ -112,14 +112,15 @@ let test_wf_factory_stats () =
   let ops = inst.Harness.Queues.register () in
   ops.Harness.Queues.enqueue 1;
   ignore (ops.Harness.Queues.dequeue ());
-  (match inst.Harness.Queues.op_stats () with
-  | Some s ->
+  (match inst.Harness.Queues.snapshot () with
+  | Some { Obs.Snapshot.ops = s; _ } ->
     check Alcotest.int "enqueues tracked" 1 (Wfq.Op_stats.total_enqueues s);
     check Alcotest.int "dequeues tracked" 1 (Wfq.Op_stats.total_dequeues s)
   | None -> Alcotest.fail "wf factory must expose stats");
-  inst.Harness.Queues.reset_op_stats ();
-  match inst.Harness.Queues.op_stats () with
-  | Some s -> check Alcotest.int "reset" 0 (Wfq.Op_stats.total_enqueues s)
+  inst.Harness.Queues.reset_stats ();
+  match inst.Harness.Queues.snapshot () with
+  | Some { Obs.Snapshot.ops = s; _ } ->
+    check Alcotest.int "reset" 0 (Wfq.Op_stats.total_enqueues s)
   | None -> Alcotest.fail "stats gone after reset"
 
 (* ------------------------------------------------------------------ *)

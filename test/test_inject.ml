@@ -53,6 +53,14 @@ let drain q h =
   let rec go acc = match Q.dequeue q h with Some v -> go (v :: acc) | None -> acc in
   List.rev (go [])
 
+(* One k-ticket batch dequeue, its values pushed onto [got]. *)
+let deq_batch_onto got q h k =
+  let out = Array.make k 0 in
+  let n = Q.deq_batch_into q h out ~default:0 in
+  for j = 0 to n - 1 do
+    got := out.(j) :: !got
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Build matrix: which instantiations carry the injector              *)
 
@@ -163,9 +171,7 @@ let test_batch_park_storm () =
         let actor i () =
           for r = 0 to 1 do
             Q.enq_batch q h.(i) (Array.init 3 (fun j -> (i * 100) + (r * 10) + j));
-            Array.iter
-              (function Some v -> got := v :: !got | None -> ())
-              (Q.deq_batch q h.(i) 3)
+            deq_batch_onto got q h.(i) 3
           done
         in
         ignore (run_ok ~seed [| actor 0; actor 1; actor 2; actor 3 |]);
@@ -269,18 +275,14 @@ let test_batch_kill_storm () =
               Q.enq_batch q h.(0) vs;
               Array.iter (fun v -> committed := v :: !committed) vs;
               in_flight := [];
-              Array.iter
-                (function Some v -> got := v :: !got | None -> ())
-                (Q.deq_batch q h.(0) batch)
+              deq_batch_onto got q h.(0) batch
             done
           with Inject.Killed _ -> Q.retire q h.(0)
         in
         let survivor i () =
           for r = 0 to rounds - 1 do
             Q.enq_batch q h.(i) (Array.init batch (fun j -> (i * 1000) + (r * 10) + j));
-            Array.iter
-              (function Some v -> got := v :: !got | None -> ())
-              (Q.deq_batch q h.(i) batch)
+            deq_batch_onto got q h.(i) batch
           done
         in
         ignore (run_ok ~seed [| victim; survivor 1; survivor 2 |]);

@@ -29,20 +29,20 @@ let test_batch_roundtrip () =
   let h = Q.register q in
   Q.enq_batch q h [| 1; 2; 3; 4; 5 |];
   check int "length after batch" 5 (Q.approx_length q);
-  let out = Q.deq_batch q h 5 in
-  check (array (option int)) "FIFO cell order"
-    [| Some 1; Some 2; Some 3; Some 4; Some 5 |]
-    out;
+  let out = Array.make 5 (-1) in
+  check int "five values" 5 (Q.deq_batch_into q h out ~default:(-1));
+  check (array int) "FIFO cell order" [| 1; 2; 3; 4; 5 |] out;
   check (option int) "drained" None (Q.dequeue q h)
 
 let test_batch_partial () =
-  (* a k-batch against a shorter queue returns the values in order
-     and EMPTY holes for the rest *)
+  (* a k-batch against a shorter queue returns the values in order,
+     compacted to the front, and [default] for the rest *)
   let q = Q.create () in
   let h = Q.register q in
   Q.enq_batch q h [| 10; 20 |];
-  let out = Q.deq_batch q h 4 in
-  check (array (option int)) "partial batch" [| Some 10; Some 20; None; None |] out
+  let out = Array.make 4 0 in
+  check int "two values" 2 (Q.deq_batch_into q h out ~default:(-1));
+  check (array int) "partial batch" [| 10; 20; -1; -1 |] out
 
 let test_batch_interleaves_with_singles () =
   let q = Q.create () in
@@ -51,7 +51,9 @@ let test_batch_interleaves_with_singles () =
   Q.enq_batch q h [| 2; 3 |];
   Q.enqueue q h 4;
   check (option int) "single sees batch order" (Some 1) (Q.dequeue q h);
-  check (array (option int)) "batch sees single order" [| Some 2; Some 3 |] (Q.deq_batch q h 2);
+  let out = Array.make 2 0 in
+  check int "batch of two" 2 (Q.deq_batch_into q h out ~default:(-1));
+  check (array int) "batch sees single order" [| 2; 3 |] out;
   check (option int) "tail value" (Some 4) (Q.dequeue q h)
 
 let test_batch_empty_noops () =
@@ -60,8 +62,7 @@ let test_batch_empty_noops () =
   let h = Q.register q in
   let t0 = Q.Internal.tail_index q and h0 = Q.Internal.head_index q in
   Q.enq_batch q h [||];
-  check (array (option int)) "deq_batch 0" [||] (Q.deq_batch q h 0);
-  check (array (option int)) "deq_batch negative" [||] (Q.deq_batch q h (-3));
+  check int "deq_batch_into of an empty buffer" 0 (Q.deq_batch_into q h [||] ~default:0);
   check int "tail ticket untouched" t0 (Q.Internal.tail_index q);
   check int "head ticket untouched" h0 (Q.Internal.head_index q)
 
@@ -74,10 +75,9 @@ let test_batch_one_faa_per_batch () =
   Q.enq_batch q h (Array.init 64 Fun.id);
   check int "tail moved by exactly k" (t0 + 64) (Q.Internal.tail_index q);
   let h0 = Q.Internal.head_index q in
-  let out = Q.deq_batch q h 64 in
+  let n = Q.deq_batch_into q h (Array.make 64 0) ~default:(-1) in
   check int "head moved by exactly k" (h0 + 64) (Q.Internal.head_index q);
-  check int "all values out" 64
-    (Array.fold_left (fun acc -> function Some _ -> acc + 1 | None -> acc) 0 out)
+  check int "all values out" 64 n
 
 let test_batch_segment_crossing () =
   (* tiny segments force one batch to span several segment
@@ -86,9 +86,9 @@ let test_batch_segment_crossing () =
   let h = Q.register q in
   let n = 100 in
   Q.enq_batch q h (Array.init n Fun.id);
-  let out = Q.deq_batch q h n in
-  let got = Array.to_list out |> List.filter_map Fun.id in
-  check (list int) "order across segments" (List.init n Fun.id) got
+  let out = Array.make n (-1) in
+  check int "all values out" n (Q.deq_batch_into q h out ~default:(-1));
+  check (list int) "order across segments" (List.init n Fun.id) (Array.to_list out)
 
 let test_batch_obs_counters () =
   (* the instrumented build records batch sizes; the production build
@@ -97,7 +97,7 @@ let test_batch_obs_counters () =
   let q = O.create () in
   let h = O.register q in
   O.enq_batch q h [| 1; 2; 3 |];
-  ignore (O.deq_batch q h 3);
+  ignore (O.deq_batch_into q h (Array.make 3 0) ~default:0);
   let s = O.stats q in
   check int "enq batches" 1 s.Obs.Counters.enq_batches;
   check int "enq batch cells" 3 s.Obs.Counters.enq_batch_cells;
@@ -108,7 +108,7 @@ let test_batch_obs_counters () =
   let q = Q.create () in
   let h = Q.register q in
   Q.enq_batch q h [| 1; 2; 3 |];
-  ignore (Q.deq_batch q h 3);
+  ignore (Q.deq_batch_into q h (Array.make 3 0) ~default:0);
   let s = Q.stats q in
   check int "disabled probe records no batches" 0 s.Obs.Counters.enq_batches;
   check int "path tier still counted" 3 s.Obs.Counters.fast_enqueues
@@ -152,9 +152,9 @@ let test_router_batch_conservation () =
   let got = ref [] in
   let continue = ref true in
   while !continue do
-    let out = R.deq_batch t h 4 in
-    let values = Array.to_list out |> List.filter_map Fun.id in
-    if values = [] then continue := false else got := values @ !got
+    let out = Array.make 4 (-1) in
+    let n = R.deq_batch_into t h out ~default:(-1) in
+    if n = 0 then continue := false else got := Array.to_list (Array.sub out 0 n) @ !got
   done;
   check (list int) "batch multiset conserved" (List.sort compare !sent)
     (List.sort compare !got);
@@ -420,9 +420,12 @@ let sweep_router ~shards ~batch ~seeds () =
                 Spec.Empty)
         else begin
           let inv = Sim.now () in
-          let out = SR.deq_batch t h batch in
+          (* the router's empty-shard probe is a [dequeue_or]: the
+             default must lie outside the value domain *)
+          let out = Array.make batch 0 in
+          let n = SR.deq_batch_into t h out ~default:(-1) in
           let res = Sim.now () in
-          let got = Array.to_list out |> List.filter_map Fun.id in
+          let got = Array.to_list (Array.sub out 0 n) in
           if got = [] then begin
             decr budget;
             events :=
@@ -564,11 +567,14 @@ let test_batch_linearizable_sweep () =
         end
         else begin
           let inv = Sim.now () in
-          let out = SQ.deq_batch q h k in
+          let out = Array.make k 0 in
+          let n = SQ.deq_batch_into q h out ~default:0 in
           let res = Sim.now () in
-          Array.iter
-            (fun slot ->
-              let output = match slot with Some v -> Spec.Got v | None -> Spec.Empty in
+          (* all k tickets were taken: the n values, and k - n EMPTY
+             observations, each its own operation inside the call *)
+          Array.iteri
+            (fun j v ->
+              let output = if j < n then Spec.Got v else Spec.Empty in
               events := { H.thread = i; input = Spec.Deq; output; inv; res } :: !events)
             out
         end
@@ -647,11 +653,12 @@ let test_bounded_enq_kill_accounting () =
         let consumer () =
           let idle = ref 0 in
           while !producers_done < 2 || !idle < 3 do
-            let before = List.length !got in
-            Array.iter
-              (function Some v -> got := v :: !got | None -> ())
-              (SR.deq_batch t hc batch);
-            if List.length !got = before then incr idle else idle := 0
+            let out = Array.make batch 0 in
+            let n = SR.deq_batch_into t hc out ~default:(-1) in
+            for j = 0 to n - 1 do
+              got := out.(j) :: !got
+            done;
+            if n = 0 then incr idle else idle := 0
           done
         in
         let stats =

@@ -33,8 +33,9 @@ let run_ok ?max_steps ~seed fibers =
 (* ------------------------------------------------------------------ *)
 (* Sequential semantics, production builds                            *)
 
-(* Every variant reduced to closures over one registered handle (a
-   single handle may legally hold both roles in any topology). *)
+(* Every implementer of the one queue signature reduced to closures
+   over one registered handle (a single handle may legally hold both
+   roles in any topology). *)
 type seq_api = {
   enq : int -> unit;
   deq : unit -> int option;
@@ -44,75 +45,39 @@ type seq_api = {
   length : unit -> int;
 }
 
-let spsc_api ?(segment_shift = 2) ?(max_garbage = 2) () =
-  let module Q = Topology.Spsc in
-  let q = Q.create ~segment_shift ~max_garbage () in
-  let h = Q.register q in
-  {
-    enq = (fun v -> Q.enqueue q h v);
-    deq = (fun () -> Q.dequeue q h);
-    deq_or = (fun d -> Q.dequeue_or q h d);
-    enq_batch = (fun a -> Q.enq_batch q h a);
-    deq_batch_into = (fun a ~default -> Q.deq_batch_into q h a ~default);
-    length = (fun () -> Q.approx_length q);
-  }
+module Seq (Q : Topology.Variant_intf.OPS) = struct
+  let api q =
+    let h = Q.register q in
+    {
+      enq = (fun v -> Q.enqueue q h v);
+      deq = (fun () -> Q.dequeue q h);
+      deq_or = (fun d -> Q.dequeue_or q h d);
+      enq_batch = (fun a -> Q.enq_batch q h a);
+      deq_batch_into = (fun a ~default -> Q.deq_batch_into q h a ~default);
+      length = (fun () -> Q.approx_length q);
+    }
+end
 
-let mpsc_api ?(segment_shift = 2) ?(max_garbage = 2) () =
-  let module Q = Topology.Mpsc in
-  let q = Q.create ~segment_shift ~max_garbage () in
-  let h = Q.register q in
-  {
-    enq = (fun v -> Q.enqueue q h v);
-    deq = (fun () -> Q.dequeue q h);
-    deq_or = (fun d -> Q.dequeue_or q h d);
-    enq_batch = (fun a -> Q.enq_batch q h a);
-    deq_batch_into = (fun a ~default -> Q.deq_batch_into q h a ~default);
-    length = (fun () -> Q.approx_length q);
-  }
+module Spsc_seq = Seq (Topology.Spsc)
+module Mpsc_seq = Seq (Topology.Mpsc)
+module Spmc_seq = Seq (Topology.Spmc)
+module Adaptive_seq = Seq (Topology.Adaptive)
+module Wf_seq = Seq (Wfq.Wfqueue)
 
-let spmc_api ?(segment_shift = 2) ?(max_garbage = 2) () =
-  let module Q = Topology.Spmc in
-  let q = Q.create ~segment_shift ~max_garbage () in
-  let h = Q.register q in
-  {
-    enq = (fun v -> Q.enqueue q h v);
-    deq = (fun () -> Q.dequeue q h);
-    deq_or = (fun d -> Q.dequeue_or q h d);
-    enq_batch = (fun a -> Q.enq_batch q h a);
-    deq_batch_into = (fun a ~default -> Q.deq_batch_into q h a ~default);
-    length = (fun () -> Q.approx_length q);
-  }
-
-let adaptive_api ?(segment_shift = 2) ?(max_garbage = 2) () =
-  let module Q = Topology.Adaptive in
-  let q = Q.create ~segment_shift ~max_garbage () in
-  let h = Q.register q in
-  {
-    enq = (fun v -> Q.enqueue q h v);
-    deq = (fun () -> Q.dequeue q h);
-    deq_or = (fun d -> Q.dequeue_or q h d);
-    enq_batch = (fun a -> Q.enq_batch q h a);
-    deq_batch_into = (fun a ~default -> Q.deq_batch_into q h a ~default);
-    length = (fun () -> Q.approx_length q);
-  }
-
-let variants =
+let variants_at ~segment_shift ~max_garbage =
   [
-    ("spsc", fun () -> spsc_api ());
-    ("mpsc", fun () -> mpsc_api ());
-    ("spmc", fun () -> spmc_api ());
-    ("adaptive", fun () -> adaptive_api ());
+    ("spsc", fun () -> Spsc_seq.api (Topology.Spsc.create ~segment_shift ~max_garbage ()));
+    ("mpsc", fun () -> Mpsc_seq.api (Topology.Mpsc.create ~segment_shift ~max_garbage ()));
+    ("spmc", fun () -> Spmc_seq.api (Topology.Spmc.create ~segment_shift ~max_garbage ()));
+    ( "adaptive",
+      fun () -> Adaptive_seq.api (Topology.Adaptive.create ~segment_shift ~max_garbage ()) );
+    ("wf", fun () -> Wf_seq.api (Wfq.Wfqueue.create ~segment_shift ~max_garbage ()));
   ]
 
-(* the same constructors at their default (CI alloc gate) geometry *)
-let default_geometry_variants =
-  let g = 10 and mg = 16 in
-  [
-    ("spsc", fun () -> spsc_api ~segment_shift:g ~max_garbage:mg ());
-    ("mpsc", fun () -> mpsc_api ~segment_shift:g ~max_garbage:mg ());
-    ("spmc", fun () -> spmc_api ~segment_shift:g ~max_garbage:mg ());
-    ("adaptive", fun () -> adaptive_api ~segment_shift:g ~max_garbage:mg ());
-  ]
+let variants = variants_at ~segment_shift:2 ~max_garbage:2
+
+(* the same queues at their default (CI alloc gate) geometry *)
+let default_geometry_variants = variants_at ~segment_shift:10 ~max_garbage:16
 
 let test_sequential_fifo () =
   (* 100 values through 4-cell segments: ~25 segment transitions per
